@@ -11,13 +11,14 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/chaos.hpp"
+#include "json/json.hpp"
+#include "trajectory.hpp"
 #include "verify/diagnostic.hpp"
 #include "verify/envelope.hpp"
 #include "verify/fault_plan.hpp"
@@ -98,24 +99,26 @@ ArchStats bench_arch(fault::ChaosArch arch, int schedules) {
   return st;
 }
 
-void print_json(std::ostream& os, const std::vector<ArchStats>& stats) {
-  os << "{\n  \"bench\": \"envelope\",\n  \"archs\": [\n";
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    const auto& s = stats[i];
+std::string to_json(const std::vector<ArchStats>& stats) {
+  json::Writer w;
+  w.begin_object().field("bench", "envelope").key("archs").begin_array();
+  for (const auto& s : stats) {
     const double per_lint = s.schedules ? s.lint_ms / s.schedules : 0;
     const double per_oracle = s.schedules ? s.feasible_ms / s.schedules : 0;
-    os << "    {\n      \"arch\": \"" << s.arch << "\",\n"
-       << "      \"schedules\": " << s.schedules << ",\n"
-       << "      \"lint_ms_per_schedule\": " << per_lint << ",\n"
-       << "      \"envelopes_per_schedule\": "
-       << (s.schedules ? static_cast<double>(s.envelopes) / s.schedules : 0)
-       << ",\n"
-       << "      \"diagnostics\": " << s.diagnostics << ",\n"
-       << "      \"oracle_ms_per_call\": " << per_oracle << ",\n"
-       << "      \"oracle_infeasible\": " << s.infeasible << "\n"
-       << "    }" << (i + 1 < stats.size() ? "," : "") << "\n";
+    w.begin_object()
+        .field("arch", s.arch)
+        .field("schedules", s.schedules)
+        .field("lint_ms_per_schedule", per_lint)
+        .field("envelopes_per_schedule",
+               s.schedules ? static_cast<double>(s.envelopes) / s.schedules
+                           : 0)
+        .field("diagnostics", s.diagnostics)
+        .field("oracle_ms_per_call", per_oracle)
+        .field("oracle_infeasible", s.infeasible)
+        .end();
   }
-  os << "  ]\n}\n";
+  w.end().end();
+  return w.str() + "\n";
 }
 
 }  // namespace
@@ -126,13 +129,8 @@ int main(int argc, char** argv) {
   for (fault::ChaosArch arch : fault::kAllChaosArchs)
     stats.push_back(bench_arch(arch, kSchedules));
 
-  std::ostringstream json;
-  print_json(json, stats);
-  std::cout << json.str();
-
-  const char* out = argc > 1 ? argv[1] : "BENCH_envelope.json";
-  std::ofstream f(out);
-  f << json.str();
+  bench::write_trajectory(to_json(stats),
+                          argc > 1 ? argv[1] : "BENCH_envelope.json");
 
   // Smoke criterion for CI: generated schedules lint without errors and
   // every schedule produced at least one envelope.

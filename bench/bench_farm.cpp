@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +19,8 @@
 
 #include "farm/chaos_campaign.hpp"
 #include "farm/farm.hpp"
+#include "json/json.hpp"
+#include "trajectory.hpp"
 
 using namespace recosim;
 
@@ -141,30 +142,29 @@ int main(int argc, char** argv) {
   }
 
   const double runs = static_cast<double>(serial.total);
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"farm\",\n"
-       << "  \"campaign_runs\": " << serial.total << ",\n"
-       << "  \"workers\": " << workers << ",\n"
-       << "  \"serial_s\": " << serial_s << ",\n"
-       << "  \"serial_runs_per_s\": " << runs / serial_s << ",\n"
-       << "  \"parallel_s\": " << parallel_s << ",\n"
-       << "  \"parallel_runs_per_s\": " << runs / parallel_s << ",\n"
-       << "  \"speedup\": " << serial_s / parallel_s << ",\n"
-       << "  \"resume_s\": " << resume_s << ",\n"
-       << "  \"resume_runs_per_s\": " << runs / resume_s << ",\n"
-       << "  \"faulty_campaign\": {\n"
-       << "    \"runs\": " << faulty_report.total << ",\n"
-       << "    \"wall_s\": " << faulty_s << ",\n"
-       << "    \"ok\": " << faulty_report.ok << ",\n"
-       << "    \"failed\": " << faulty_report.failed << ",\n"
-       << "    \"quarantined\": " << faulty_report.quarantined << ",\n"
-       << "    \"incidents\": " << faulty_report.incidents << "\n"
-       << "  }\n}\n";
-  std::cout << json.str();
-
-  const char* out = argc > 1 ? argv[1] : "BENCH_farm.json";
-  std::ofstream f(out);
-  f << json.str();
+  json::Writer w;
+  w.begin_object()
+      .field("bench", "farm")
+      .field("campaign_runs", serial.total)
+      .field("workers", workers)
+      .field("serial_s", serial_s)
+      .field("serial_runs_per_s", runs / serial_s)
+      .field("parallel_s", parallel_s)
+      .field("parallel_runs_per_s", runs / parallel_s)
+      .field("speedup", serial_s / parallel_s)
+      .field("resume_s", resume_s)
+      .field("resume_runs_per_s", runs / resume_s)
+      .key("faulty_campaign").begin_object()
+      .field("runs", faulty_report.total)
+      .field("wall_s", faulty_s)
+      .field("ok", faulty_report.ok)
+      .field("failed", faulty_report.failed)
+      .field("quarantined", faulty_report.quarantined)
+      .field("incidents", faulty_report.incidents)
+      .end()
+      .end();
+  bench::write_trajectory(w.str() + "\n",
+                          argc > 1 ? argv[1] : "BENCH_farm.json");
 
   if (!smoke_ok) {
     std::cerr << errors.str();

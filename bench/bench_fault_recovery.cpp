@@ -6,10 +6,7 @@
 // BENCH_fault.json (or argv[1]) so the perf trajectory is tracked in-repo.
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +14,8 @@
 #include "conochi/conochi.hpp"
 #include "dynoc/dynoc.hpp"
 #include "fault/reliable_channel.hpp"
+#include "json/json.hpp"
+#include "trajectory.hpp"
 #include "rmboc/rmboc.hpp"
 #include "sim/kernel.hpp"
 
@@ -125,26 +124,30 @@ ArchResult run_scenario(const std::string& arch_name,
   return result;
 }
 
-void print_json(std::ostream& os, const std::vector<ArchResult>& results) {
-  os << "{\n  \"bench\": \"fault_recovery\",\n  \"architectures\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    os << "    {\n      \"arch\": \"" << r.arch << "\",\n"
-       << "      \"fault\": \"" << r.fault << "\",\n"
-       << "      \"phase_cycles\": " << r.phase_cycles << ",\n"
-       << "      \"phases\": [\n";
-    for (std::size_t j = 0; j < r.phases.size(); ++j) {
-      const auto& p = r.phases[j];
-      os << "        {\"phase\": \"" << p.phase
-         << "\", \"delivered\": " << p.delivered
-         << ", \"throughput_per_kcycle\": " << p.throughput_kcycle
-         << ", \"mean_latency_cycles\": " << p.mean_latency_cycles
-         << ", \"retransmissions\": " << p.retransmissions << "}"
-         << (j + 1 < r.phases.size() ? "," : "") << "\n";
+std::string to_json(const std::vector<ArchResult>& results) {
+  json::Writer w;
+  w.begin_object()
+      .field("bench", "fault_recovery")
+      .key("architectures").begin_array();
+  for (const auto& r : results) {
+    w.begin_object()
+        .field("arch", r.arch)
+        .field("fault", r.fault)
+        .field("phase_cycles", r.phase_cycles)
+        .key("phases").begin_array();
+    for (const auto& p : r.phases) {
+      w.begin_object()
+          .field("phase", p.phase)
+          .field("delivered", p.delivered)
+          .field("throughput_per_kcycle", p.throughput_kcycle)
+          .field("mean_latency_cycles", p.mean_latency_cycles)
+          .field("retransmissions", p.retransmissions)
+          .end();
     }
-    os << "      ]\n    }" << (i + 1 < results.size() ? "," : "") << "\n";
+    w.end().end();
   }
-  os << "  ]\n}\n";
+  w.end().end();
+  return w.str() + "\n";
 }
 
 fpga::HardwareModule unit_module() {
@@ -223,17 +226,7 @@ int main(int argc, char** argv) {
                                    [&] { arch.heal_node(0); }));
   }
 
-  std::ostringstream json;
-  print_json(json, results);
-  std::cout << json.str();
-
-  const char* out = argc > 1 ? argv[1] : "BENCH_fault.json";
-  std::ofstream f(out);
-  f << json.str();
-  if (!f) {
-    std::cerr << "warning: could not write " << out << "\n";
-    return 0;  // the numbers were still printed
-  }
-  std::cerr << "wrote " << out << "\n";
+  bench::write_trajectory(to_json(results),
+                          argc > 1 ? argv[1] : "BENCH_fault.json");
   return 0;
 }

@@ -17,15 +17,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "core/comparison.hpp"
 #include "core/traffic.hpp"
 #include "dynoc/dynoc.hpp"
 #include "fpga/module.hpp"
+#include "json/json.hpp"
+#include "trajectory.hpp"
 #include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 
@@ -347,36 +347,24 @@ int run_json_mode(const char* out_path) {
   const double idle_cbc = idle_cycles_per_sec(false);
   const double events = events_per_sec();
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"kernel_micro\",\n"
-       << "  \"step_cycles_per_sec\": "
-       << static_cast<std::uint64_t>(busy_gated) << ",\n"
-       << "  \"mesh_busy_ungated_cycles_per_sec\": "
-       << static_cast<std::uint64_t>(busy_ungated) << ",\n"
-       << "  \"mesh_busy_gating_speedup\": "
-       << static_cast<std::uint64_t>(
-              busy_ungated > 0 ? busy_gated / busy_ungated : 0)
-       << ",\n"
-       << "  \"dense_step_cycles_per_sec\": "
-       << static_cast<std::uint64_t>(dense) << ",\n"
-       << "  \"idle_ff_cycles_per_sec\": "
-       << static_cast<std::uint64_t>(idle_ff) << ",\n"
-       << "  \"idle_cycle_by_cycle_per_sec\": "
-       << static_cast<std::uint64_t>(idle_cbc) << ",\n"
-       << "  \"idle_ff_speedup\": "
-       << static_cast<std::uint64_t>(idle_cbc > 0 ? idle_ff / idle_cbc : 0)
-       << ",\n"
-       << "  \"event_push_fire_per_sec\": "
-       << static_cast<std::uint64_t>(events) << "\n}\n";
-  std::cout << json.str();
-
-  std::ofstream f(out_path);
-  f << json.str();
-  if (!f) {
-    std::cerr << "warning: could not write " << out_path << "\n";
-    return 0;  // the numbers were still printed
-  }
-  std::cerr << "wrote " << out_path << "\n";
+  json::Writer w;
+  w.begin_object()
+      .field("bench", "kernel_micro")
+      .field("step_cycles_per_sec", static_cast<std::uint64_t>(busy_gated))
+      .field("mesh_busy_ungated_cycles_per_sec",
+             static_cast<std::uint64_t>(busy_ungated))
+      .field("mesh_busy_gating_speedup",
+             static_cast<std::uint64_t>(
+                 busy_ungated > 0 ? busy_gated / busy_ungated : 0))
+      .field("dense_step_cycles_per_sec", static_cast<std::uint64_t>(dense))
+      .field("idle_ff_cycles_per_sec", static_cast<std::uint64_t>(idle_ff))
+      .field("idle_cycle_by_cycle_per_sec",
+             static_cast<std::uint64_t>(idle_cbc))
+      .field("idle_ff_speedup",
+             static_cast<std::uint64_t>(idle_cbc > 0 ? idle_ff / idle_cbc : 0))
+      .field("event_push_fire_per_sec", static_cast<std::uint64_t>(events))
+      .end();
+  bench::write_trajectory(w.str() + "\n", out_path);
   return 0;
 }
 

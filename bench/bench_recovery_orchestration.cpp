@@ -18,14 +18,12 @@
 // in-repo.
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +33,8 @@
 #include "dynoc/dynoc.hpp"
 #include "fault/reliable_channel.hpp"
 #include "health/health.hpp"
+#include "json/json.hpp"
+#include "trajectory.hpp"
 #include "rmboc/rmboc.hpp"
 #include "sim/kernel.hpp"
 
@@ -386,11 +386,12 @@ ArchReport bench_conochi(int episodes) {
   return rep;
 }
 
-void print_json(std::ostream& os, const std::vector<ArchReport>& reports) {
-  os << "{\n  \"bench\": \"recovery_orchestration\",\n"
-     << "  \"architectures\": [\n";
-  for (std::size_t a = 0; a < reports.size(); ++a) {
-    const ArchReport& r = reports[a];
+std::string to_json(const std::vector<ArchReport>& reports) {
+  json::Writer w;
+  w.begin_object()
+      .field("bench", "recovery_orchestration")
+      .key("architectures").begin_array();
+  for (const ArchReport& r : reports) {
     std::vector<double> ttd, ttr, rungs;
     std::uint64_t lost = 0;
     int evacuated = 0, recovered = 0, degraded = 0, failed = 0;
@@ -407,25 +408,27 @@ void print_json(std::ostream& os, const std::vector<ArchReport>& reports) {
       if (e.outcome == "recovered") ++recovered;
       if (e.outcome == "degraded-stable") ++degraded;
     }
-    os << "    {\n      \"arch\": \"" << r.arch << "\",\n"
-       << "      \"episodes\": " << r.episodes.size() << ",\n"
-       << "      \"unresolved\": " << failed << ",\n"
-       << "      \"recovered\": " << recovered << ",\n"
-       << "      \"degraded_stable\": " << degraded << ",\n"
-       << "      \"evacuated\": " << evacuated << ",\n"
-       << "      \"evacuations\": " << r.evacuations << ",\n"
-       << "      \"incidents\": " << r.incidents << ",\n"
-       << "      \"ttd_p50\": " << health::percentile(ttd, 0.5) << ",\n"
-       << "      \"ttd_p99\": " << health::percentile(ttd, 0.99) << ",\n"
-       << "      \"ttr_p50\": " << health::percentile(ttr, 0.5) << ",\n"
-       << "      \"ttr_p99\": " << health::percentile(ttr, 0.99) << ",\n"
-       << "      \"rungs_p50\": " << health::percentile(rungs, 0.5) << ",\n"
-       << "      \"packets_lost\": " << lost << ",\n"
-       << "      \"delivered\": " << r.delivered << ",\n"
-       << "      \"duplicates_dropped\": " << r.duplicates << "\n"
-       << "    }" << (a + 1 < reports.size() ? "," : "") << "\n";
+    w.begin_object()
+        .field("arch", r.arch)
+        .field("episodes", r.episodes.size())
+        .field("unresolved", failed)
+        .field("recovered", recovered)
+        .field("degraded_stable", degraded)
+        .field("evacuated", evacuated)
+        .field("evacuations", r.evacuations)
+        .field("incidents", r.incidents)
+        .field("ttd_p50", health::percentile(ttd, 0.5))
+        .field("ttd_p99", health::percentile(ttd, 0.99))
+        .field("ttr_p50", health::percentile(ttr, 0.5))
+        .field("ttr_p99", health::percentile(ttr, 0.99))
+        .field("rungs_p50", health::percentile(rungs, 0.5))
+        .field("packets_lost", lost)
+        .field("delivered", r.delivered)
+        .field("duplicates_dropped", r.duplicates)
+        .end();
   }
-  os << "  ]\n}\n";
+  w.end().end();
+  return w.str() + "\n";
 }
 
 }  // namespace
@@ -438,13 +441,8 @@ int main(int argc, char** argv) {
   reports.push_back(bench_dynoc(kEpisodes));
   reports.push_back(bench_conochi(kEpisodes));
 
-  std::ostringstream json;
-  print_json(json, reports);
-  std::cout << json.str();
-
-  const char* out = argc > 1 ? argv[1] : "BENCH_health.json";
-  std::ofstream f(out);
-  f << json.str();
+  bench::write_trajectory(to_json(reports),
+                          argc > 1 ? argv[1] : "BENCH_health.json");
 
   // Smoke criterion for CI: every episode must have resolved.
   for (const auto& r : reports)

@@ -10,13 +10,10 @@
 // BENCH_txn.json (or argv[1]) so the perf trajectory is tracked in-repo.
 
 #include <cstdint>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +24,8 @@
 #include "dynoc/dynoc.hpp"
 #include "fault/injector.hpp"
 #include "fault/reliable_channel.hpp"
+#include "json/json.hpp"
+#include "trajectory.hpp"
 #include "rmboc/rmboc.hpp"
 #include "sim/kernel.hpp"
 
@@ -274,28 +273,30 @@ ArchReport run_arch(const std::string& name) {
   return report;
 }
 
-void print_json(std::ostream& os, const std::vector<ArchReport>& reports) {
-  os << "{\n  \"bench\": \"txn_rollback\",\n  \"architectures\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const auto& rep = reports[i];
-    os << "    {\n      \"arch\": \"" << rep.arch << "\",\n"
-       << "      \"scenarios\": [\n";
-    for (std::size_t j = 0; j < rep.rows.size(); ++j) {
-      const auto& r = rep.rows[j];
-      os << "        {\"scenario\": \"" << r.scenario << "\""
-         << ", \"committed\": " << (r.committed ? "true" : "false")
-         << ", \"failure\": \"" << r.failure << "\""
-         << ", \"total_cycles\": " << r.total_cycles
-         << ", \"drain_cycles\": " << r.drain_cycles
-         << ", \"forced_drain\": " << (r.forced_drain ? "true" : "false");
+std::string to_json(const std::vector<ArchReport>& reports) {
+  json::Writer w;
+  w.begin_object()
+      .field("bench", "txn_rollback")
+      .key("architectures").begin_array();
+  for (const auto& rep : reports) {
+    w.begin_object().field("arch", rep.arch).key("scenarios").begin_array();
+    for (const auto& r : rep.rows) {
+      w.begin_object()
+          .field("scenario", r.scenario)
+          .field("committed", r.committed)
+          .field("failure", r.failure)
+          .field("total_cycles", r.total_cycles)
+          .field("drain_cycles", r.drain_cycles)
+          .field("forced_drain", r.forced_drain);
       if (r.state_restored)
-        os << ", \"state_restored\": " << (*r.state_restored ? "true" : "false")
-           << ", \"restore_losses\": " << *r.restore_losses;
-      os << "}" << (j + 1 < rep.rows.size() ? "," : "") << "\n";
+        w.field("state_restored", *r.state_restored)
+            .field("restore_losses", *r.restore_losses);
+      w.end();
     }
-    os << "      ]\n    }" << (i + 1 < reports.size() ? "," : "") << "\n";
+    w.end().end();
   }
-  os << "  ]\n}\n";
+  w.end().end();
+  return w.str() + "\n";
 }
 
 }  // namespace
@@ -305,17 +306,6 @@ int main(int argc, char** argv) {
   for (const char* arch : {"rmboc", "buscom", "dynoc", "conochi"})
     reports.push_back(run_arch(arch));
 
-  std::ostringstream json;
-  print_json(json, reports);
-  std::cout << json.str();
-
-  const char* out = argc > 1 ? argv[1] : "BENCH_txn.json";
-  std::ofstream f(out);
-  f << json.str();
-  if (!f) {
-    std::cerr << "warning: could not write " << out << "\n";
-    return 0;  // the numbers were still printed
-  }
-  std::cerr << "wrote " << out << "\n";
+  bench::write_trajectory(to_json(reports), argc > 1 ? argv[1] : "BENCH_txn.json");
   return 0;
 }

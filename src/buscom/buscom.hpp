@@ -119,7 +119,7 @@ class Buscom final : public core::CommArchitecture, public sim::Component {
   // idle-cycle fast-forward. With burst transfers enabled, commits
   // strictly inside a slot are the same pure bookkeeping even under load,
   // so a busy bus is quiescent up to the next slot boundary
-  // (quiescent_deadline(); docs/perf.md).
+  // (quiescent_deadline(); docs/performance.md).
   bool is_quiescent() const override;
   sim::Cycle quiescent_deadline() const override;
   void on_fast_forward(sim::Cycle from, sim::Cycle to) override;

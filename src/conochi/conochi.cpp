@@ -341,7 +341,7 @@ std::size_t Conochi::repark_blocked_interfaces() {
                     fpga::kInvalidModule &&
                 !t.links[static_cast<std::size_t>(q)].connected &&
                 !port_has_parked_wire(t, q);
-          if (line_free && move_module(id, t.pos)) {
+          if (line_free && relocate_module(id, t.pos)) {
             ++moved;
             again = true;
             break;
@@ -586,6 +586,12 @@ std::size_t Conochi::in_flight_packets(fpga::ModuleId involving) const {
 }
 
 bool Conochi::move_module(fpga::ModuleId id, fpga::Point new_switch) {
+  if (!relocate_module(id, new_switch)) return false;
+  debug_check_invariants();
+  return true;
+}
+
+bool Conochi::relocate_module(fpga::ModuleId id, fpga::Point new_switch) {
   // A quiesced module is pinned: a reconfiguration transaction relies on
   // its attachment snapshot staying valid through drain and streaming.
   if (is_quiesced(id)) return false;
@@ -627,7 +633,6 @@ bool Conochi::move_module(fpga::ModuleId id, fpga::Point new_switch) {
       }));
   stats().counter("module_moves").add();
   wake_network();
-  debug_check_invariants();
   return true;
 }
 

@@ -232,7 +232,7 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
   bool try_forward(Switch& s, int in_port);
   void deliver_or_redirect(Switch& s, int in_port);
 
-  // -- per-switch work set (busy-path gating, docs/perf.md) ------------------
+  // -- per-switch work set (busy-path gating, docs/performance.md) -----------
   // Bit i set iff switch i has cycle work: a non-empty input queue or a
   // staged table install (time-triggered work). Mirrors network_empty(),
   // so work_count_ == 0 <=> the network may sleep. Sends and forwards mark
@@ -256,6 +256,9 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
   /// as long as an alternative port exists; returns the number moved.
   /// Called after a heal reconnects lines (see heal_node()).
   std::size_t repark_blocked_interfaces();
+  /// move_module() without its closing invariant check, for callers that
+  /// rebuild links and tables after the move and check at their end.
+  bool relocate_module(fpga::ModuleId id, fpga::Point new_switch);
 
   ConochiConfig config_;
   sim::Trace trace_;

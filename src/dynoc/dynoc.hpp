@@ -205,7 +205,7 @@ class Dynoc final : public core::CommArchitecture, public sim::Component {
   void purge_router_traffic(fpga::Point p, const char* counter);
   void drop_traffic_towards(fpga::Point p, const char* counter);
 
-  // -- per-router work set (busy-path gating, docs/perf.md) ------------------
+  // -- per-router work set (busy-path gating, docs/performance.md) -----------
   // Invariant: bit i is set iff router i has cycle work — a non-empty input
   // queue or a busy outgoing link (exactly the old network_empty()
   // criteria, so work_count_ == 0 <=> the network is empty). Sends and

@@ -24,7 +24,7 @@ struct ChaosCampaignOptions {
   int ops = 8;
   sim::Cycle horizon = 30'000;
   bool activity_driven = true;
-  /// Busy-path tuning (docs/perf.md). Deliberately excluded from
+  /// Busy-path tuning (docs/performance.md). Deliberately excluded from
   /// chaos_scenario(): results are bit-identical either way, so journal
   /// records stay byte-compatible between tuned and untuned campaigns.
   bool busy_path = true;

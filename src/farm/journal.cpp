@@ -1,9 +1,11 @@
 #include "farm/journal.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <filesystem>
+#include <iterator>
+#include <optional>
+
+#include "json/json.hpp"
 
 namespace recosim::farm {
 
@@ -23,146 +25,46 @@ std::string content_hash(const std::string& text) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-std::string json_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    switch (s[++i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtol(s.substr(i + 1, 4).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default: out += s[i];
-    }
-  }
-  return out;
-}
-
-/// Locate the raw (still-escaped) value of "key": in a flat object line.
-std::optional<std::string> raw_value(const std::string& line,
-                                     const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = 0;
-  while ((pos = line.find(needle, pos)) != std::string::npos) {
-    // Must not be inside a string value: heuristically fine because the
-    // writer always escapes quotes inside values, so a `"key":` match
-    // preceded by an even number of unescaped quotes is a real key. The
-    // cheap check: require the match be preceded by '{' or ',' ignoring
-    // nothing (the writer emits no spaces).
-    if (pos == 0 || (line[pos - 1] != '{' && line[pos - 1] != ',')) {
-      pos += needle.size();
-      continue;
-    }
-    std::size_t v = pos + needle.size();
-    if (v >= line.size()) return std::nullopt;
-    if (line[v] == '"') {
-      std::size_t end = v + 1;
-      while (end < line.size()) {
-        if (line[end] == '\\') {
-          end += 2;
-          continue;
-        }
-        if (line[end] == '"') break;
-        ++end;
-      }
-      if (end >= line.size()) return std::nullopt;
-      return line.substr(v + 1, end - v - 1);
-    }
-    std::size_t end = v;
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-    return line.substr(v, end - v);
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<std::string> json_field(const std::string& line,
-                                      const std::string& key) {
-  auto raw = raw_value(line, key);
-  if (!raw) return std::nullopt;
-  return json_unescape(*raw);
-}
-
-std::optional<std::uint64_t> json_field_u64(const std::string& line,
-                                            const std::string& key) {
-  auto raw = raw_value(line, key);
-  if (!raw || raw->empty() || !std::isdigit(static_cast<unsigned char>((*raw)[0])))
-    return std::nullopt;
-  return std::strtoull(raw->c_str(), nullptr, 10);
-}
+std::string json_escape(const std::string& s) { return json::escape(s); }
 
 JournalContents read_journal(const std::string& path) {
   JournalContents jc;
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return jc;  // nothing to resume; valid stays false, no error
   std::string line;
   int lineno = 0;
+  const auto fail = [&](int column, const std::string& what) {
+    jc.valid = false;
+    jc.error = "line " + std::to_string(lineno) + ":" +
+               std::to_string(column) + ": " + what;
+    return jc;
+  };
   while (std::getline(in, line)) {
     ++lineno;
+    // getline stopped at the end of the file, not at a newline: the final
+    // append was cut short, and its run has to run again.
+    if (in.eof()) break;
     if (line.empty()) continue;
-    const auto type = json_field(line, "type");
-    if (!type) {
-      jc.valid = false;
-      jc.error = "line " + std::to_string(lineno) + ": no \"type\" field";
-      return jc;
-    }
+    json::Error err;
+    const std::optional<json::Value> record = json::parse(line, &err);
+    if (!record) return fail(err.column, err.message);
+    const std::optional<std::string> type = record->get_string("type");
+    if (!type) return fail(1, "no \"type\" field");
     if (*type == "campaign") {
-      if (auto h = json_field(line, "config_hash")) jc.config_hash = *h;
+      jc.config_hash = record->get_string("config_hash").value_or("");
       jc.valid = true;
     } else if (*type == "run") {
       JournalRun r;
-      if (auto v = json_field(line, "key")) r.key = *v;
-      if (auto v = json_field(line, "arch")) r.arch = *v;
-      if (auto v = json_field_u64(line, "seed")) r.seed = *v;
-      if (auto v = json_field(line, "scenario")) r.scenario = *v;
-      if (auto v = json_field(line, "status")) r.status = *v;
-      if (auto v = json_field(line, "reason")) r.reason = *v;
-      if (auto v = json_field(line, "digest")) r.digest = *v;
-      if (auto v = json_field_u64(line, "attempts"))
-        r.attempts = static_cast<int>(*v);
-      if (r.key.empty() || r.status.empty()) {
-        jc.valid = false;
-        jc.error = "line " + std::to_string(lineno) + ": malformed run record";
-        return jc;
-      }
+      r.key = record->get_string("key").value_or("");
+      r.arch = record->get_string("arch").value_or("");
+      r.seed = record->get_u64("seed").value_or(0);
+      r.scenario = record->get_string("scenario").value_or("");
+      r.status = record->get_string("status").value_or("");
+      r.reason = record->get_string("reason").value_or("");
+      r.digest = record->get_string("digest").value_or("");
+      r.attempts = static_cast<int>(record->get_u64("attempts").value_or(0));
+      if (r.key.empty() || r.status.empty())
+        return fail(1, "malformed run record");
       jc.runs[r.key] = std::move(r);
     } else if (*type == "interrupted") {
       ++jc.interruptions;
@@ -174,7 +76,16 @@ JournalContents read_journal(const std::string& path) {
 
 void JournalWriter::open(const std::string& path) {
   path_ = path;
-  out_.open(path, std::ios::app);
+  // Cut a torn final line off before appending to it.
+  std::ifstream in(path, std::ios::binary);
+  const std::string s(std::istreambuf_iterator<char>(in), {});
+  std::error_code ec;
+  if (!s.empty() && s.back() != '\n')
+    std::filesystem::resize_file(path, s.rfind('\n') + 1, ec);  // npos+1 = 0
+  if (ec)
+    out_.setstate(std::ios::failbit);
+  else
+    out_.open(path, std::ios::app);
 }
 
 void JournalWriter::line(const std::string& text) {
@@ -185,49 +96,42 @@ void JournalWriter::line(const std::string& text) {
 
 void JournalWriter::campaign(const std::string& config, std::size_t jobs,
                              bool resumed) {
-  std::ostringstream os;
-  os << "{\"type\":\"campaign\",\"version\":1,\"config_hash\":\""
-     << content_hash(config) << "\",\"config\":\"" << json_escape(config)
-     << "\",\"jobs\":" << jobs << ",\"resumed\":"
-     << (resumed ? "true" : "false") << "}";
-  line(os.str());
+  json::Writer w(json::Style::kCompact);
+  w.begin_object().field("type", "campaign").field("version", 1);
+  w.field("config_hash", content_hash(config)).field("config", config);
+  line(w.field("jobs", jobs).field("resumed", resumed).end().str());
 }
 
 void JournalWriter::incident(const JournalRun& run,
                              const std::string& incident, int attempt,
                              const std::string& detail,
                              const std::string& artifact) {
-  std::ostringstream os;
-  os << "{\"type\":\"incident\",\"key\":\"" << run.key << "\",\"arch\":\""
-     << json_escape(run.arch) << "\",\"seed\":" << run.seed
-     << ",\"incident\":\"" << json_escape(incident)
-     << "\",\"attempt\":" << attempt << ",\"detail\":\""
-     << json_escape(detail) << "\",\"artifact\":\"" << json_escape(artifact)
-     << "\"}";
-  line(os.str());
+  json::Writer w(json::Style::kCompact);
+  w.begin_object().field("type", "incident").field("key", run.key);
+  w.field("arch", run.arch).field("seed", run.seed);
+  w.field("incident", incident).field("attempt", attempt);
+  line(w.field("detail", detail).field("artifact", artifact).end().str());
 }
 
 void JournalWriter::run(const JournalRun& r) {
-  std::ostringstream os;
-  os << "{\"type\":\"run\",\"key\":\"" << r.key << "\",\"arch\":\""
-     << json_escape(r.arch) << "\",\"seed\":" << r.seed
-     << ",\"scenario\":\"" << json_escape(r.scenario) << "\",\"status\":\""
-     << json_escape(r.status) << "\",\"reason\":\"" << json_escape(r.reason)
-     << "\",\"digest\":\"" << json_escape(r.digest)
-     << "\",\"attempts\":" << r.attempts << "}";
-  line(os.str());
+  json::Writer w(json::Style::kCompact);
+  w.begin_object().field("type", "run").field("key", r.key);
+  w.field("arch", r.arch).field("seed", r.seed).field("scenario", r.scenario);
+  w.field("status", r.status).field("reason", r.reason);
+  line(w.field("digest", r.digest).field("attempts", r.attempts).end().str());
 }
 
 void JournalWriter::interrupted(std::size_t completed) {
-  line("{\"type\":\"interrupted\",\"completed\":" +
-       std::to_string(completed) + "}");
+  json::Writer w(json::Style::kCompact);
+  w.begin_object().field("type", "interrupted").field("completed", completed);
+  line(w.end().str());
 }
 
 void JournalWriter::done(std::size_t ok, std::size_t failed,
                          std::size_t quarantined) {
-  line("{\"type\":\"done\",\"ok\":" + std::to_string(ok) + ",\"failed\":" +
-       std::to_string(failed) + ",\"quarantined\":" +
-       std::to_string(quarantined) + "}");
+  json::Writer w(json::Style::kCompact);
+  w.begin_object().field("type", "done").field("ok", ok);
+  line(w.field("failed", failed).field("quarantined", quarantined).end().str());
 }
 
 }  // namespace recosim::farm

@@ -20,10 +20,14 @@
 //    "attempts":N}
 //   {"type":"interrupted","completed":N}
 //   {"type":"done","ok":N,"failed":N,"quarantined":N}
+//
+// A record counts once its newline is written. A crash mid-append leaves
+// a torn final line without one: read_journal() skips it, so its run
+// runs again on --resume, and JournalWriter::open() cuts it off before
+// appending.
 
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -35,15 +39,8 @@ std::uint64_t fnv1a(const std::string& text);
 /// fnv1a rendered as 16 lowercase hex digits.
 std::string content_hash(const std::string& text);
 
-/// JSON string escaping (quotes, backslash, control chars as \uXXXX).
+/// `s` escaped for the inside of a JSON string literal (json::escape).
 std::string json_escape(const std::string& s);
-
-/// Minimal field extraction from a single flat JSON object line (the only
-/// shape the journal writes). Returns nullopt when the key is absent.
-std::optional<std::string> json_field(const std::string& line,
-                                      const std::string& key);
-std::optional<std::uint64_t> json_field_u64(const std::string& line,
-                                            const std::string& key);
 
 /// Terminal record of one run, as read back from a journal.
 struct JournalRun {
@@ -68,7 +65,7 @@ struct JournalContents {
 
 /// Read a journal file back. A missing file yields valid=false with an
 /// empty error (nothing to resume); a malformed line yields valid=false
-/// with a diagnostic.
+/// with a "line L:C: ..." diagnostic. A torn final line is skipped.
 JournalContents read_journal(const std::string& path);
 
 /// Append-only writer; every record is flushed as soon as it is written so
@@ -76,7 +73,8 @@ JournalContents read_journal(const std::string& path);
 class JournalWriter {
  public:
   JournalWriter() = default;
-  /// Opens `path` for append. ok() reports failure to open.
+  /// Opens `path` for append, first cutting off a torn final line. ok()
+  /// reports failure to open.
   void open(const std::string& path);
   bool ok() const { return !path_.empty() && out_.good(); }
   bool enabled() const { return !path_.empty(); }

@@ -71,7 +71,7 @@ struct ChaosRunOptions {
   /// either way).
   bool activity_driven = true;
   /// Busy-path tuning (router gating, burst transfers, arena pooling;
-  /// docs/perf.md) — also bit-identical either way, only wall-clock
+  /// docs/performance.md) — also bit-identical either way, only wall-clock
   /// differs. `--no-busy-path` / the A/B property tests flip it off.
   bool busy_path = true;
   /// Run the self-healing layer (health::FailureDetector +

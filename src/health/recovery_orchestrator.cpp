@@ -1,9 +1,9 @@
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "health/health.hpp"
+#include "json/json.hpp"
 #include "sim/kernel.hpp"
 
 namespace recosim::health {
@@ -338,46 +338,42 @@ double percentile(std::vector<double> values, double p) {
 }
 
 std::string RecoveryOrchestrator::slo_json() const {
-  std::ostringstream out;
+  json::Writer w(json::Style::kCompact);
   std::vector<double> ttd, ttr;
   std::size_t recovered = 0, degraded_stable = 0, unresolved = 0;
-  out << "{\"incidents\":[";
-  bool first = true;
+  w.begin_object().key("incidents").begin_array();
   for (const auto& inc : incidents_) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"id\":" << inc.id << ",\"subject\":\""
-        << inc.subject.to_string() << "\",\"first_symptom_at\":"
-        << inc.first_symptom_at << ",\"confirmed_at\":" << inc.confirmed_at
-        << ",\"outcome\":\"" << to_string(inc.outcome)
-        << "\",\"rungs_climbed\":" << inc.rungs_climbed
-        << ",\"evacuated\":" << (inc.evacuated ? "true" : "false")
-        << ",\"healed\":" << (inc.healed ? "true" : "false")
-        << ",\"packets_lost\":" << inc.packets_lost;
+    w.begin_object().field("id", inc.id);
+    w.field("subject", inc.subject.to_string());
+    w.field("first_symptom_at", inc.first_symptom_at);
+    w.field("confirmed_at", inc.confirmed_at);
+    w.field("outcome", to_string(inc.outcome));
+    w.field("rungs_climbed", inc.rungs_climbed);
+    w.field("evacuated", inc.evacuated).field("healed", inc.healed);
+    w.field("packets_lost", inc.packets_lost);
     ttd.push_back(
         static_cast<double>(inc.confirmed_at - inc.first_symptom_at));
     if (inc.outcome == IncidentOutcome::kOpen) {
       ++unresolved;
     } else {
-      out << ",\"resolved_at\":" << inc.resolved_at
-          << ",\"time_to_recover\":" << inc.resolved_at - inc.confirmed_at;
+      w.field("resolved_at", inc.resolved_at)
+          .field("time_to_recover", inc.resolved_at - inc.confirmed_at);
       ttr.push_back(
           static_cast<double>(inc.resolved_at - inc.confirmed_at));
       if (inc.outcome == IncidentOutcome::kRecovered) ++recovered;
       if (inc.outcome == IncidentOutcome::kDegradedStable)
         ++degraded_stable;
     }
-    out << "}";
+    w.end();
   }
-  out << "],\"summary\":{\"incidents\":" << incidents_.size()
-      << ",\"recovered\":" << recovered
-      << ",\"degraded_stable\":" << degraded_stable
-      << ",\"unresolved\":" << unresolved
-      << ",\"ttd_p50\":" << percentile(ttd, 0.5)
-      << ",\"ttd_p99\":" << percentile(ttd, 0.99)
-      << ",\"ttr_p50\":" << percentile(ttr, 0.5)
-      << ",\"ttr_p99\":" << percentile(ttr, 0.99) << "}}";
-  return out.str();
+  w.end().key("summary").begin_object().field("incidents", incidents_.size());
+  w.field("recovered", recovered).field("degraded_stable", degraded_stable);
+  w.field("unresolved", unresolved);
+  w.field("ttd_p50", percentile(ttd, 0.5))
+      .field("ttd_p99", percentile(ttd, 0.99));
+  w.field("ttr_p50", percentile(ttr, 0.5))
+      .field("ttr_p99", percentile(ttr, 0.99));
+  return w.end().end().str();
 }
 
 }  // namespace recosim::health

@@ -204,7 +204,15 @@ void HierBus::arbitrate(Bus& bus) {
     auto& q = tx_[m];
     if (q.empty()) continue;
     const proto::Packet& head = q.front();
-    const bool cross = tier_.at(head.dst) != bus.tier;
+    const auto dst = tier_.find(head.dst);
+    if (dst == tier_.end()) {
+      // The destination detached while the packet queued; drop it as
+      // advance() drops an in-flight one.
+      stats().counter("dropped_detach").add();
+      q.pop_front();
+      continue;
+    }
+    const bool cross = dst->second != bus.tier;
     if (cross && bridge_out.size() >= config_.bridge_buffer_packets)
       continue;  // bridge full: the §2.2 bottleneck in action
     Transfer t;

@@ -142,7 +142,7 @@ class Rmboc final : public core::CommArchitecture, public sim::Component {
   /// transfers enabled the bus is additionally fast-forward pollable:
   /// established channels that are mid-burst or waiting out the idle-close
   /// window make commit() a no-op until a known future cycle, so the
-  /// kernel may jump straight to it (docs/perf.md).
+  /// kernel may jump straight to it (docs/performance.md).
   bool is_quiescent() const override;
   sim::Cycle quiescent_deadline() const override;
 

@@ -14,10 +14,10 @@ namespace recosim::sim {
 class Component;
 class Latch;
 
-/// A/B switches for the busy-path machinery (see docs/perf.md). All three
-/// default to on; each can be disabled independently to restore the
-/// corresponding slow path, and results are bit-identical either way (the
-/// same discipline as set_activity_driven()):
+/// A/B switches for the busy-path machinery (see docs/performance.md).
+/// All three default to on; each can be disabled independently to restore
+/// the corresponding slow path, and results are bit-identical either way
+/// (the same discipline as set_activity_driven()):
 ///  * router_gating   — DyNoC/CoNoChi iterate only routers/switches with
 ///                      queued or in-flight work instead of the whole mesh.
 ///  * burst_transfers — established RMBoC channels complete a packet as one

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <set>
-#include <sstream>
 
+#include "json/json.hpp"
 #include "tidy/checks.hpp"
 #include "tidy/lexer.hpp"
 #include "tidy/model.hpp"
+#include "verify/lint_driver.hpp"
 #include "verify/rules.hpp"
 
 namespace recosim::tidy {
@@ -17,23 +18,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t n = std::char_traits<char>::length(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 bool is_cpp_source(const std::string& p) {
-  return has_suffix(p, ".cpp") || has_suffix(p, ".hpp") ||
-         has_suffix(p, ".cc") || has_suffix(p, ".h");
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
+  return p.ends_with(".cpp") || p.ends_with(".hpp") ||
+         p.ends_with(".cc") || p.ends_with(".h");
 }
 
 /// Keep compile_commands entries inside the project's own src/ and
@@ -42,29 +29,6 @@ bool in_scanned_tree(const std::string& path) {
   return path.find("/src/") != std::string::npos ||
          path.find("/tools/") != std::string::npos ||
          path.rfind("src/", 0) == 0 || path.rfind("tools/", 0) == 0;
-}
-
-/// Pull every "file" value out of a compile_commands.json. The format is
-/// fixed (CMake emits it), so a targeted scan beats a JSON dependency.
-std::vector<std::string> compdb_files(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while ((pos = text.find("\"file\"", pos)) != std::string::npos) {
-    pos = text.find(':', pos);
-    if (pos == std::string::npos) break;
-    pos = text.find('"', pos);
-    if (pos == std::string::npos) break;
-    std::size_t end = pos + 1;
-    std::string value;
-    while (end < text.size() && text[end] != '"') {
-      if (text[end] == '\\' && end + 1 < text.size()) ++end;
-      value += text[end];
-      ++end;
-    }
-    out.push_back(std::move(value));
-    pos = end;
-  }
-  return out;
 }
 
 /// Absolute-normalized path, so the same file named relatively on the
@@ -98,13 +62,19 @@ std::vector<std::string> collect_files(const TidyOptions& opt,
   }
   if (!opt.compile_commands.empty()) {
     std::string text;
-    if (!read_file(opt.compile_commands, text)) {
+    json::Error err{1, 1, "not a JSON array"};  // unless parse() fails
+    std::optional<json::Value> db;
+    const bool readable = verify::read_file(opt.compile_commands, text);
+    if (readable) db = json::parse(text, &err);
+    if (!db || db->kind != json::Value::Kind::kArray) {
       if (errors)
         errors->push_back("cannot read compile_commands '" +
-                          opt.compile_commands + "'");
+                          opt.compile_commands + "'" +
+                          (readable ? ": " + err.to_string() : ""));
     } else {
       std::set<std::string> dirs;
-      for (std::string& f : compdb_files(text)) {
+      for (const json::Value& entry : db->items) {
+        const std::string f = entry.get_string("file").value_or("");
         if (!in_scanned_tree(f) || !is_cpp_source(f)) continue;
         dirs.insert(fs::path(f).parent_path().generic_string());
         files.insert(normalize(f));
@@ -117,36 +87,13 @@ std::vector<std::string> collect_files(const TidyOptions& opt,
              it.increment(ec)) {
           if (!it->is_regular_file()) continue;
           std::string path = it->path().generic_string();
-          if (has_suffix(path, ".hpp") || has_suffix(path, ".h"))
+          if (path.ends_with(".hpp") || path.ends_with(".h"))
             files.insert(normalize(path));
         }
       }
     }
   }
   return std::vector<std::string>(files.begin(), files.end());
-}
-
-std::size_t TidyResult::error_count() const {
-  std::size_t n = 0;
-  for (const auto& f : files)
-    for (const auto& d : f.diags)
-      if (d.severity == verify::Severity::kError) ++n;
-  return n;
-}
-
-std::size_t TidyResult::warning_count() const {
-  std::size_t n = 0;
-  for (const auto& f : files)
-    for (const auto& d : f.diags)
-      if (d.severity == verify::Severity::kWarning) ++n;
-  return n;
-}
-
-int TidyResult::exit_code(bool werror) const {
-  if (!unreadable.empty()) return 2;
-  if (error_count() > 0) return 1;
-  if (werror && warning_count() > 0) return 1;
-  return 0;
 }
 
 TidyResult run_tidy(const TidyOptions& opt) {
@@ -158,7 +105,7 @@ TidyResult run_tidy(const TidyOptions& opt) {
   CodeModel model;
   for (const std::string& path : paths) {
     std::string text;
-    if (!read_file(path, text)) {
+    if (!verify::read_file(path, text)) {
       result.unreadable.push_back(path);
       continue;
     }
@@ -189,6 +136,21 @@ TidyResult run_tidy(const TidyOptions& opt) {
     result.files.push_back(std::move(ff));
   }
   return result;
+}
+
+verify::LintOutcome outcome(const TidyResult& result,
+                            const verify::Baseline* baseline) {
+  verify::LintOutcome out;
+  out.parse_failed = !result.unreadable.empty();
+  for (const auto& ff : result.files) out.add_file(ff.path, ff.diags, baseline);
+  out.sink = {};
+  for (const auto& ff : out.per_file) {
+    for (verify::Diagnostic d : ff.diags) {
+      d.location.component = ff.path + ": " + d.location.component;
+      out.sink.add(std::move(d));
+    }
+  }
+  return out;
 }
 
 }  // namespace recosim::tidy

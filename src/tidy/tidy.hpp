@@ -9,8 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "verify/diagnostic.hpp"
-#include "verify/sarif.hpp"
+#include "verify/lint_driver.hpp"
 
 namespace recosim::tidy {
 
@@ -29,12 +28,6 @@ struct TidyResult {
   std::vector<verify::FileFindings> files;
   /// Files that could not be read (reported as exit-2 conditions).
   std::vector<std::string> unreadable;
-
-  std::size_t error_count() const;
-  std::size_t warning_count() const;
-  /// Same contract as recosim-lint: 0 clean, 1 errors (with --werror:
-  /// or warnings), 2 unreadable input.
-  int exit_code(bool werror) const;
 };
 
 /// Expand options to the sorted, deduplicated list of files to scan.
@@ -47,5 +40,12 @@ std::vector<std::string> collect_files(const TidyOptions& opt,
 /// Scan and check. Allow-annotations with a justification suppress their
 /// findings; unjustified ones fire RCD007.
 TidyResult run_tidy(const TidyOptions& opt);
+
+/// The result as recosim-lint reports and scores its own: findings
+/// `baseline` records dropped, unreadable files a parse failure (exit
+/// 2), and in the text/JSON report each component prefixed with its
+/// file, since a symbol alone is ambiguous across translation units.
+verify::LintOutcome outcome(const TidyResult& result,
+                            const verify::Baseline* baseline);
 
 }  // namespace recosim::tidy

@@ -1,30 +1,15 @@
-// Lint baseline: a flat JSON list of suppression keys. The parser is a
-// tolerant hand-rolled scanner that reads exactly the shape write() emits
-// (and survives reordered or extra fields) — no dependency, same policy
-// as the rest of the JSON in this layer.
+// Lint baseline: a JSON list of suppression keys, written and read
+// through the json module.
 
 #include "verify/baseline.hpp"
 
-#include <cctype>
+#include <optional>
+
+#include "json/json.hpp"
 
 namespace recosim::verify {
 
 namespace {
-
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 /// Suppression key. The message is deliberately not part of it — message
 /// wording may be tuned across versions without invalidating baselines —
@@ -35,97 +20,27 @@ std::string key(const std::string& rule, const std::string& path,
          std::to_string(wb) + '\x1f' + std::to_string(we);
 }
 
-/// Read a JSON string starting at the opening quote; advances pos past
-/// the closing quote. Returns false on malformed input.
-bool read_string(const std::string& t, std::size_t& pos, std::string& out) {
-  if (pos >= t.size() || t[pos] != '"') return false;
-  out.clear();
-  for (++pos; pos < t.size(); ++pos) {
-    const char c = t[pos];
-    if (c == '"') {
-      ++pos;
-      return true;
-    }
-    if (c == '\\' && pos + 1 < t.size()) {
-      const char n = t[++pos];
-      switch (n) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: out += n;
-      }
-    } else {
-      out += c;
-    }
-  }
-  return false;
-}
-
-void skip_ws(const std::string& t, std::size_t& pos) {
-  while (pos < t.size() &&
-         std::isspace(static_cast<unsigned char>(t[pos])))
-    ++pos;
-}
-
 }  // namespace
 
-bool Baseline::parse(const std::string& text) {
-  // A baseline document at least declares itself.
-  if (text.find("\"findings\"") == std::string::npos) return false;
-
-  std::size_t pos = text.find("\"findings\"");
-  pos = text.find('[', pos);
-  if (pos == std::string::npos) return false;
-
-  while (pos < text.size()) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos) break;
-    ++pos;
-    std::string rule, path, object;
-    long long wb = -1, we = -1;
-    while (pos < text.size()) {
-      skip_ws(text, pos);
-      if (pos < text.size() && (text[pos] == ',')) {
-        ++pos;
-        continue;
-      }
-      if (pos >= text.size() || text[pos] == '}') {
-        ++pos;
-        break;
-      }
-      std::string k;
-      if (!read_string(text, pos, k)) return false;
-      skip_ws(text, pos);
-      if (pos >= text.size() || text[pos] != ':') return false;
-      ++pos;
-      skip_ws(text, pos);
-      if (pos < text.size() && text[pos] == '"') {
-        std::string v;
-        if (!read_string(text, pos, v)) return false;
-        if (k == "rule") rule = v;
-        else if (k == "path") path = v;
-        else if (k == "object") object = v;
-      } else {
-        std::size_t start = pos;
-        while (pos < text.size() &&
-               (text[pos] == '-' ||
-                std::isdigit(static_cast<unsigned char>(text[pos]))))
-          ++pos;
-        if (pos == start) return false;
-        const long long v = std::stoll(text.substr(start, pos - start));
-        if (k == "window_begin") wb = v;
-        else if (k == "window_end") we = v;
-      }
-    }
-    if (!rule.empty()) keys_.insert(key(rule, path, object, wb, we));
-    skip_ws(text, pos);
-    if (pos < text.size() && text[pos] == ']') break;
+bool Baseline::parse(const std::string& text, std::string* error) {
+  json::Error err;
+  const std::optional<json::Value> doc = json::parse(text, &err);
+  const json::Value* findings = doc ? doc->find("findings") : nullptr;
+  if (findings == nullptr || findings->kind != json::Value::Kind::kArray) {
+    if (error)
+      *error = doc ? "1:1: not a baseline (no \"findings\" array)"
+                   : err.to_string();
+    return false;
+  }
+  for (const json::Value& f : findings->items) {
+    const std::string rule = f.get_string("rule").value_or("");
+    if (rule.empty()) continue;
+    keys_.insert(key(rule, f.get_string("path").value_or(""),
+                     f.get_string("object").value_or(""),
+                     f.get_i64("window_begin").value_or(-1),
+                     f.get_i64("window_end").value_or(-1)));
   }
   return true;
-}
-
-void Baseline::insert(const std::string& path, const Diagnostic& d) {
-  keys_.insert(
-      key(d.rule, path, d.location.object, d.window_begin, d.window_end));
 }
 
 bool Baseline::suppressed(const std::string& path,
@@ -136,27 +51,21 @@ bool Baseline::suppressed(const std::string& path,
 }
 
 std::string Baseline::write(const std::vector<FileFindings>& files) {
-  std::string out = "{\n  \"version\": 1,\n  \"findings\": [";
-  bool first = true;
+  json::Writer w;
+  w.begin_object().field("version", 1).key("findings").begin_array();
   for (const auto& f : files) {
     for (const auto& d : f.diags) {
-      if (!first) out += ',';
-      first = false;
-      out += "\n    {\"rule\": \"";
-      out += esc(d.rule);
-      out += "\", \"path\": \"";
-      out += esc(f.path);
-      out += "\", \"object\": \"";
-      out += esc(d.location.object);
-      out += "\", \"window_begin\": ";
-      out += std::to_string(d.window_begin);
-      out += ", \"window_end\": ";
-      out += std::to_string(d.window_end);
-      out += '}';
+      w.begin_object()
+          .field("rule", d.rule)
+          .field("path", f.path)
+          .field("object", d.location.object)
+          .field("window_begin", d.window_begin)
+          .field("window_end", d.window_end)
+          .end();
     }
   }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  w.end().end();
+  return w.str() + "\n";
 }
 
 }  // namespace recosim::verify

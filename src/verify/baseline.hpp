@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "verify/diagnostic.hpp"
-#include "verify/sarif.hpp"
 
 namespace recosim::verify {
 
@@ -16,11 +15,11 @@ namespace recosim::verify {
 class Baseline {
  public:
   /// Parse a baseline file previously written by write(). Returns false
-  /// (leaving the baseline empty) when the text is not a baseline
-  /// document; unknown fields are ignored.
-  bool parse(const std::string& text);
+  /// (leaving the baseline unchanged, and "line:column: why" in `*error`)
+  /// when the text is not a baseline document; unknown fields are
+  /// ignored.
+  bool parse(const std::string& text, std::string* error = nullptr);
 
-  void insert(const std::string& path, const Diagnostic& d);
   bool suppressed(const std::string& path, const Diagnostic& d) const;
 
   std::size_t size() const { return keys_.size(); }

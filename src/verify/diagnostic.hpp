@@ -49,6 +49,13 @@ struct Diagnostic {
   bool has_window() const { return window_begin >= 0; }
 };
 
+/// Findings of one checked file (one SARIF result per diagnostic,
+/// artifact location = the file the finding came from).
+struct FileFindings {
+  std::string path;
+  std::vector<Diagnostic> diags;
+};
+
 /// Collector the checkers report into. Owns formatting: one-line-per-
 /// finding text for humans, a JSON array for CI.
 class DiagnosticSink {
@@ -122,54 +129,11 @@ class DiagnosticSink {
     return out;
   }
 
-  /// JSON array of findings (for CI consumption).
-  std::string to_json() const {
-    std::string out = "[";
-    bool first = true;
-    for (const auto& d : diags_) {
-      if (!first) out += ',';
-      first = false;
-      out += "\n  {\"rule\": \"";
-      out += escape(d.rule);
-      out += "\", \"severity\": \"";
-      out += to_string(d.severity);
-      out += "\", \"component\": \"";
-      out += escape(d.location.component);
-      out += "\", \"object\": \"";
-      out += escape(d.location.object);
-      out += "\", \"message\": \"";
-      out += escape(d.message);
-      out += "\", \"fixit\": \"";
-      out += escape(d.fixit);
-      out += '"';
-      if (d.has_window()) {
-        out += ", \"window_begin\": ";
-        out += std::to_string(d.window_begin);
-        out += ", \"window_end\": ";
-        out += std::to_string(d.window_end);
-      }
-      out += '}';
-    }
-    out += first ? "]" : "\n]";
-    return out;
-  }
+  /// JSON array of findings (for CI consumption; defined in
+  /// lint_driver.cpp, so callers link recosim_verify).
+  std::string to_json() const;
 
  private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default: out += c;
-      }
-    }
-    return out;
-  }
-
   std::vector<Diagnostic> diags_;
 };
 

@@ -1,11 +1,12 @@
 #include "verify/fault_plan.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
+
+#include "verify/lint_driver.hpp"
 
 namespace recosim::verify {
 
@@ -142,15 +143,13 @@ FaultPlanDoc parse_fault_plan(const std::string& text,
 
 std::optional<FaultPlanDoc> parse_fault_plan_file(const std::string& path,
                                                   DiagnosticSink& sink) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!read_file(path, text)) {
     sink.report("LNT001", Severity::kError, {path, ""},
                 "cannot open fault plan file");
     return std::nullopt;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_fault_plan(text.str(), path, sink);
+  return parse_fault_plan(text, path, sink);
 }
 
 namespace {

@@ -1,7 +1,8 @@
 #include "verify/scenario.hpp"
 
-#include <fstream>
 #include <sstream>
+
+#include "verify/lint_driver.hpp"
 
 namespace recosim::verify {
 
@@ -416,15 +417,13 @@ std::optional<Scenario> parse_scenario(const std::string& text,
 
 std::optional<Scenario> parse_scenario_file(const std::string& path,
                                             DiagnosticSink& sink) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!read_file(path, text)) {
     sink.report("LNT001", Severity::kError, {path, ""},
                 "cannot open scenario file");
     return std::nullopt;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_scenario(text.str(), path, sink);
+  return parse_scenario(text, path, sink);
 }
 
 }  // namespace recosim::verify

@@ -1,5 +1,5 @@
 // Busy-path tuning (router gating, burst transfers, arena pooling —
-// docs/perf.md) must be observationally invisible: every architecture
+// docs/performance.md) must be observationally invisible: every architecture
 // has to deliver the same packets in the same cycles with the tuning on
 // and off, under random traffic, mid-burst faults and live
 // reconfiguration. Two layers of checks:

@@ -89,6 +89,14 @@ TEST(ChaosRun, SmallSweepIsGreen) {
   }
 }
 
+TEST(ChaosRun, ConochiHealReparkKeepsCheckedBuildsRunning) {
+  // Seed 36 heals a switch whose repark moves an interface to another
+  // switch; checked builds used to abort (CON002) inside that move,
+  // before the repark had rebuilt links and tables.
+  const ChaosResult r = run_schedule(make_schedule(ChaosArch::kConochi, 36));
+  EXPECT_TRUE(r.ok);
+}
+
 TEST(ChaosRun, TransactionsExerciseBothOutcomes) {
   // Across a handful of seeds the harness must produce commits AND
   // rollbacks — a harness that only ever commits is not testing recovery.

@@ -21,7 +21,7 @@
 namespace recosim::core {
 namespace {
 
-enum class Kind { kRmboc, kBuscom, kDynoc, kConochi };
+enum class Kind { kRmboc, kBuscom, kDynoc, kConochi, kHierbus };
 
 struct ChurnParams {
   Kind kind;
@@ -35,6 +35,8 @@ std::string churn_name(const ::testing::TestParamInfo<ChurnParams>& info) {
     case Kind::kDynoc: return "Dynoc_s" + std::to_string(info.param.seed);
     case Kind::kConochi:
       return "Conochi_s" + std::to_string(info.param.seed);
+    case Kind::kHierbus:
+      return "Hierbus_s" + std::to_string(info.param.seed);
   }
   return "?";
 }
@@ -47,6 +49,7 @@ class ChurnTest : public ::testing::TestWithParam<ChurnParams> {
       case Kind::kBuscom: return make_minimal_buscom();
       case Kind::kDynoc: return make_minimal_dynoc(4, 6);
       case Kind::kConochi: return make_minimal_conochi();
+      case Kind::kHierbus: return make_minimal_hierbus();
     }
     return make_minimal_rmboc();
   }
@@ -129,7 +132,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ChurnParams{Kind::kDynoc, 1},
                       ChurnParams{Kind::kDynoc, 2},
                       ChurnParams{Kind::kConochi, 1},
-                      ChurnParams{Kind::kConochi, 2}),
+                      ChurnParams{Kind::kConochi, 2},
+                      ChurnParams{Kind::kHierbus, 1},
+                      ChurnParams{Kind::kHierbus, 2}),
     churn_name);
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "verify/diagnostic.hpp"
 #include "verify/envelope.hpp"
 #include "verify/fault_plan.hpp"
-#include "verify/sarif.hpp"
+#include "verify/lint_driver.hpp"
 #include "verify/scenario.hpp"
 #include "verify/timeline.hpp"
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "farm/chaos_campaign.hpp"
 #include "farm/farm.hpp"
 #include "farm/journal.hpp"
+#include "json/json.hpp"
 
 namespace recosim::farm {
 namespace {
@@ -321,17 +323,21 @@ TEST(Journal, JsonEscapeAndFieldExtractionRoundTrip) {
   const std::string nasty = "line1\nline2\t\"quoted\\\" \x01 end";
   const std::string line = "{\"type\":\"incident\",\"detail\":\"" +
                            json_escape(nasty) + "\",\"attempt\":3}";
-  const auto detail = json_field(line, "detail");
+  const auto record = json::parse(line);
+  ASSERT_TRUE(record.has_value());
+  const auto detail = record->get_string("detail");
   ASSERT_TRUE(detail.has_value());
   EXPECT_EQ(*detail, nasty);
-  const auto attempt = json_field_u64(line, "attempt");
+  const auto attempt = record->get_u64("attempt");
   ASSERT_TRUE(attempt.has_value());
   EXPECT_EQ(*attempt, 3u);
-  EXPECT_FALSE(json_field(line, "missing").has_value());
+  EXPECT_FALSE(record->get_string("missing").has_value());
   // A value that *contains* a key-like substring must not be picked up.
   const std::string trap =
       "{\"detail\":\"\\\"attempt\\\":99\",\"attempt\":3}";
-  EXPECT_EQ(json_field_u64(trap, "attempt").value_or(0), 3u);
+  const auto trapped = json::parse(trap);
+  ASSERT_TRUE(trapped.has_value());
+  EXPECT_EQ(trapped->get_u64("attempt").value_or(0), 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -446,6 +452,124 @@ TEST(ChaosFarm, CampaignJournalRoundTripsChaosDigests) {
     EXPECT_EQ(resumed.records[i].digest, fresh.records[i].digest);
     EXPECT_FALSE(outcomes2[i].fresh);
   }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Torn journal tails: a crash mid-append (power loss, a kill during the
+// write) cuts the final record short. Only that run runs again.
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/// The journal's run records, sorted (the CI resume diff).
+std::vector<std::string> run_records(const std::string& journal) {
+  std::vector<std::string> runs;
+  std::istringstream in(journal);
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("{\"type\":\"run\"", 0) == 0) runs.push_back(line);
+  std::sort(runs.begin(), runs.end());
+  return runs;
+}
+
+ChaosCampaignOptions torn_tail_campaign() {
+  ChaosCampaignOptions opt;
+  opt.archs = {fault::ChaosArch::kRmboc};
+  opt.seeds = {1, 2, 3};
+  opt.ops = 2;
+  opt.horizon = 3'000;
+  return opt;
+}
+
+/// A finished journal of torn_tail_campaign() at `path`.
+std::string write_reference_journal(const std::string& path) {
+  const ChaosCampaignOptions opt = torn_tail_campaign();
+  std::vector<ChaosJobOutcome> outcomes;
+  FarmConfig cfg;
+  cfg.journal_path = path;
+  cfg.campaign_config = chaos_campaign_config(opt);
+  std::remove(path.c_str());
+  SimFarm(cfg).run(make_chaos_jobs(opt, &outcomes));
+  return read_text(path);
+}
+
+TEST(Journal, ResumeAfterACutAtEveryByteOfTheLastRunRecord) {
+  const std::string full = tmp_path("torn_full.jsonl");
+  const std::string cut = tmp_path("torn_cut.jsonl");
+  const std::string text = write_reference_journal(full);
+  const std::vector<std::string> expected = run_records(text);
+  ASSERT_EQ(expected.size(), 3u);
+
+  const ChaosCampaignOptions opt = torn_tail_campaign();
+  FarmConfig cfg;
+  cfg.journal_path = cut;
+  cfg.resume = true;
+  cfg.campaign_config = chaos_campaign_config(opt);
+  const std::size_t begin = text.rfind("{\"type\":\"run\"");
+  const std::size_t newline = text.find('\n', begin);
+  for (std::size_t n = begin; n <= newline + 1; ++n) {
+    write_text(cut, text.substr(0, n));
+    std::vector<ChaosJobOutcome> outcomes;
+    const CampaignReport report =
+        SimFarm(cfg).run(make_chaos_jobs(opt, &outcomes));
+    // A record counts once its newline is written.
+    EXPECT_EQ(report.resumed, n > newline ? 3u : 2u) << "cut at " << n;
+    const std::string resumed = read_text(cut);
+    EXPECT_EQ(run_records(resumed), expected) << "cut at " << n;
+    const JournalContents jc = read_journal(cut);
+    EXPECT_TRUE(jc.valid && jc.error.empty()) << jc.error;
+    EXPECT_EQ(resumed.back(), '\n');
+  }
+  std::remove(full.c_str());
+  std::remove(cut.c_str());
+}
+
+TEST(Journal, DamageBeforeTheLastLineFailsWithLineAndColumn) {
+  const std::string path = tmp_path("damaged.jsonl");
+  const std::string text = write_reference_journal(path);
+  // Line 2 is the first run record; damage it while keeping its newline.
+  const std::size_t begin = text.find('\n') + 1;
+  const std::size_t end = text.find('\n', begin);
+  std::vector<std::string> damaged;
+  for (std::size_t n = begin + 1; n < end; ++n)
+    damaged.push_back(text.substr(0, n) + text.substr(end));
+  for (std::size_t i = begin; i < end; ++i) {
+    std::string flipped = text;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x20);
+    damaged.push_back(std::move(flipped));
+  }
+  std::size_t failures = 0;
+  for (const std::string& journal : damaged) {
+    write_text(path, journal);
+    const JournalContents jc = read_journal(path);
+    if (jc.error.empty()) continue;  // a flip inside a value stays valid
+    ++failures;
+    int line = 0, column = 0;
+    EXPECT_EQ(std::sscanf(jc.error.c_str(), "line %d:%d:", &line, &column), 2)
+        << jc.error;
+    EXPECT_EQ(line, 2) << jc.error;
+    EXPECT_GE(column, 1) << jc.error;
+  }
+  EXPECT_GE(failures, end - begin - 1);  // every truncation fails
+
+  // Resuming such a journal is a configuration error, not a re-run.
+  write_text(path, damaged.front());
+  FarmConfig cfg;
+  cfg.journal_path = path;
+  cfg.resume = true;
+  cfg.campaign_config = chaos_campaign_config(torn_tail_campaign());
+  std::vector<ChaosJobOutcome> outcomes;
+  EXPECT_THROW(
+      SimFarm(cfg).run(make_chaos_jobs(torn_tail_campaign(), &outcomes)),
+      std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -347,8 +347,18 @@ struct TrafficOutcome {
   bool operator==(const TrafficOutcome&) const = default;
 };
 
-TrafficOutcome run_minimal(core::MinimalSystem (*make)(), bool ff) {
-  auto sys = make();
+/// A minimal-system factory with a name: PrintTo makes the test names
+/// end in the architecture rather than in a function address, which
+/// changes with every build.
+struct NamedSystem {
+  const char* name;
+  core::MinimalSystem (*make)();
+};
+
+void PrintTo(const NamedSystem& s, std::ostream* os) { *os << s.name; }
+
+TrafficOutcome run_minimal(const NamedSystem& system, bool ff) {
+  auto sys = system.make();
   sys.kernel->set_activity_driven(ff);
   core::TrafficSource periodic(
       *sys.kernel, *sys.arch, sys.modules[0],
@@ -375,8 +385,7 @@ TrafficOutcome run_minimal(core::MinimalSystem (*make)(), bool ff) {
   return out;
 }
 
-class ArchDeterminism
-    : public ::testing::TestWithParam<core::MinimalSystem (*)()> {};
+class ArchDeterminism : public ::testing::TestWithParam<NamedSystem> {};
 
 TEST_P(ArchDeterminism, FastForwardOnAndOffAgreeExactly) {
   const TrafficOutcome with_ff = run_minimal(GetParam(), true);
@@ -386,16 +395,14 @@ TEST_P(ArchDeterminism, FastForwardOnAndOffAgreeExactly) {
   EXPECT_EQ(with_ff, without);
 }
 
-core::MinimalSystem make_rmboc() { return core::make_minimal_rmboc(); }
-core::MinimalSystem make_buscom() { return core::make_minimal_buscom(); }
-core::MinimalSystem make_dynoc() { return core::make_minimal_dynoc(); }
-core::MinimalSystem make_conochi() { return core::make_minimal_conochi(); }
-core::MinimalSystem make_hierbus() { return core::make_minimal_hierbus(); }
-
-INSTANTIATE_TEST_SUITE_P(AllArchitectures, ArchDeterminism,
-                         ::testing::Values(&make_rmboc, &make_buscom,
-                                           &make_dynoc, &make_conochi,
-                                           &make_hierbus));
+INSTANTIATE_TEST_SUITE_P(
+    AllArchitectures, ArchDeterminism,
+    ::testing::Values(
+        NamedSystem{"rmboc", [] { return core::make_minimal_rmboc(); }},
+        NamedSystem{"buscom", [] { return core::make_minimal_buscom(); }},
+        NamedSystem{"dynoc", [] { return core::make_minimal_dynoc(); }},
+        NamedSystem{"conochi", [] { return core::make_minimal_conochi(); }},
+        NamedSystem{"hierbus", [] { return core::make_minimal_hierbus(); }}));
 
 TEST(ArchFastForward, IdleTailIsActuallySkipped) {
   // After traffic stops and the network drains, the kernel must be

@@ -12,7 +12,6 @@
 #include "tidy/tidy.hpp"
 #include "verify/baseline.hpp"
 #include "verify/rules.hpp"
-#include "verify/sarif.hpp"
 
 namespace recosim::tidy {
 namespace {
@@ -99,8 +98,8 @@ TEST(TidyFixtures, CleanFileAndSupportHeaderAreSilent) {
 }
 
 TEST(TidyFixtures, CorpusFailsWerrorAndSeverityTracksTheRegistry) {
-  EXPECT_EQ(corpus().exit_code(/*werror=*/false), 1);
-  EXPECT_EQ(corpus().exit_code(/*werror=*/true), 1);
+  EXPECT_EQ(outcome(corpus(), nullptr).exit_code(/*werror=*/false), 1);
+  EXPECT_EQ(outcome(corpus(), nullptr).exit_code(/*werror=*/true), 1);
   for (const auto& ff : corpus().files) {
     for (const auto& d : ff.diags) {
       const verify::RuleInfo* info = verify::find_rule(d.rule);
@@ -169,7 +168,7 @@ TEST(TidySelfScan, SrcAndToolsAreCleanUnderWerror) {
       ADD_FAILURE() << ff.path << ": [" << d.rule << "] "
                     << d.location.component << " " << d.location.object
                     << ": " << d.message;
-  EXPECT_EQ(result.exit_code(/*werror=*/true), 0);
+  EXPECT_EQ(outcome(result, nullptr).exit_code(/*werror=*/true), 0);
 }
 
 }  // namespace

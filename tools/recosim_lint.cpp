@@ -35,15 +35,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "verify/baseline.hpp"
 #include "verify/lint_driver.hpp"
 #include "verify/rules.hpp"
-#include "verify/sarif.hpp"
 
 namespace {
 
@@ -58,11 +54,6 @@ void print_rules() {
                 recosim::verify::to_string(r.default_severity), r.name,
                 r.summary, r.paper);
   }
-}
-
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
 /// Expand a directory argument to the .rcs then .fplan files inside it
@@ -81,9 +72,9 @@ std::vector<std::string> expand_args(const std::vector<std::string>& args,
     for (const auto& entry : fs::directory_iterator(a, ec)) {
       if (!entry.is_regular_file()) continue;
       std::string p = entry.path().string();
-      if (has_suffix(p, ".rcs"))
+      if (p.ends_with(".rcs"))
         rcs.push_back(std::move(p));
-      else if (has_suffix(p, ".fplan"))
+      else if (p.ends_with(".fplan"))
         fplan.push_back(std::move(p));
     }
     if (ec) {
@@ -100,33 +91,15 @@ std::vector<std::string> expand_args(const std::vector<std::string>& args,
   return out;
 }
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace recosim::verify;
-  namespace fs = std::filesystem;
 
-  bool json = false;
+  ReportOptions ropt;
   bool timeline = false;
-  bool werror = false;
   double headroom_pct = -1.0;
-  std::string sarif_path, baseline_path, baseline_write_path;
+  std::string baseline_path;
   std::vector<std::string> args;
   const auto value_of = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -137,7 +110,7 @@ int main(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
+      ropt.json = true;
     } else if (std::strcmp(argv[i], "--timeline") == 0 ||
                std::strcmp(argv[i], "--envelope") == 0) {
       timeline = true;  // the envelope pass is part of the timeline
@@ -149,7 +122,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--sarif") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
-      sarif_path = v;
+      ropt.sarif_path = v;
     } else if (std::strcmp(argv[i], "--baseline") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
@@ -157,9 +130,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--baseline-write") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
-      baseline_write_path = v;
+      ropt.baseline_write_path = v;
     } else if (std::strcmp(argv[i], "--werror") == 0) {
-      werror = true;
+      ropt.werror = true;
     } else if (std::strcmp(argv[i], "--rules") == 0) {
       print_rules();
       return 0;
@@ -181,47 +154,12 @@ int main(int argc, char** argv) {
   }
 
   Baseline baseline;
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, text) || !baseline.parse(text)) {
-      std::fprintf(stderr, "recosim-lint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-  }
+  if (!load_baseline("recosim-lint", baseline_path, baseline)) return 2;
 
   LintOptions lopt;
   lopt.files = files;
   lopt.timeline = timeline;
   lopt.envelope.headroom_pct = headroom_pct;
-  if (!baseline_path.empty()) lopt.baseline = &baseline;
-  LintOutcome outcome = run_lint(lopt);
-  DiagnosticSink& sink = outcome.sink;
-  std::vector<FileFindings>& per_file = outcome.per_file;
-
-  if (!sarif_path.empty() && !write_file(sarif_path, to_sarif(per_file))) {
-    std::fprintf(stderr, "recosim-lint: cannot write SARIF '%s'\n",
-                 sarif_path.c_str());
-    return 2;
-  }
-  if (!baseline_write_path.empty()) {
-    if (!write_file(baseline_write_path, Baseline::write(per_file))) {
-      std::fprintf(stderr, "recosim-lint: cannot write baseline '%s'\n",
-                   baseline_write_path.c_str());
-      return 2;
-    }
-  }
-
-  if (json) {
-    std::printf("%s\n", sink.to_json().c_str());
-  } else {
-    std::printf("%s", sink.to_text().c_str());
-    std::printf("%zu diagnostic(s), %zu error(s), %zu warning(s)",
-                sink.size(), sink.error_count(),
-                sink.count(Severity::kWarning));
-    if (outcome.suppressed > 0)
-      std::printf(", %zu baseline-suppressed", outcome.suppressed);
-    std::printf("\n");
-  }
-  return outcome.exit_code(werror, !baseline_write_path.empty());
+  lopt.baseline = &baseline;
+  return report(run_lint(lopt), ropt);
 }

@@ -28,15 +28,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "tidy/tidy.hpp"
-#include "verify/baseline.hpp"
+#include "verify/lint_driver.hpp"
 #include "verify/rules.hpp"
-#include "verify/sarif.hpp"
 
 namespace {
 
@@ -54,30 +50,14 @@ void print_rules() {
   }
 }
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace recosim;
 
-  bool json = false;
-  bool werror = false;
-  std::string sarif_path, baseline_path, baseline_write_path;
+  verify::ReportOptions ropt;
+  ropt.tool = "recosim-tidy";
+  std::string baseline_path;
   tidy::TidyOptions opt;
   const auto value_of = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -88,13 +68,13 @@ int main(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
+      ropt.json = true;
     } else if (std::strcmp(argv[i], "--werror") == 0) {
-      werror = true;
+      ropt.werror = true;
     } else if (std::strcmp(argv[i], "--sarif") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
-      sarif_path = v;
+      ropt.sarif_path = v;
     } else if (std::strcmp(argv[i], "--baseline") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
@@ -102,7 +82,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--baseline-write") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
-      baseline_write_path = v;
+      ropt.baseline_write_path = v;
     } else if (std::strcmp(argv[i], "--compdb") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
@@ -126,71 +106,10 @@ int main(int argc, char** argv) {
   }
 
   verify::Baseline baseline;
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, text) || !baseline.parse(text)) {
-      std::fprintf(stderr, "recosim-tidy: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-  }
+  if (!verify::load_baseline(ropt.tool, baseline_path, baseline)) return 2;
 
-  tidy::TidyResult result = tidy::run_tidy(opt);
+  const tidy::TidyResult result = tidy::run_tidy(opt);
   for (const std::string& err : result.unreadable)
     std::fprintf(stderr, "recosim-tidy: %s\n", err.c_str());
-
-  // Baseline suppression happens before exit-code accounting, so a
-  // baselined error cannot fail the run (same contract as recosim-lint).
-  std::size_t suppressed = 0;
-  for (auto& ff : result.files) {
-    std::vector<verify::Diagnostic> kept;
-    for (auto& d : ff.diags) {
-      if (baseline.suppressed(ff.path, d)) {
-        ++suppressed;
-        continue;
-      }
-      kept.push_back(std::move(d));
-    }
-    ff.diags = std::move(kept);
-  }
-
-  if (!sarif_path.empty() &&
-      !write_file(sarif_path, to_sarif(result.files, "recosim-tidy"))) {
-    std::fprintf(stderr, "recosim-tidy: cannot write SARIF '%s'\n",
-                 sarif_path.c_str());
-    return 2;
-  }
-  if (!baseline_write_path.empty()) {
-    if (!write_file(baseline_write_path,
-                    verify::Baseline::write(result.files))) {
-      std::fprintf(stderr, "recosim-tidy: cannot write baseline '%s'\n",
-                   baseline_write_path.c_str());
-      return 2;
-    }
-  }
-
-  verify::DiagnosticSink sink;
-  for (const auto& ff : result.files) {
-    for (const auto& d : ff.diags) {
-      verify::Diagnostic tagged = d;
-      // Prefix the symbol with its file so the flat text/JSON report
-      // stays unambiguous across translation units.
-      tagged.location.component = ff.path + ": " + d.location.component;
-      sink.add(tagged);
-    }
-  }
-  if (json) {
-    std::printf("%s\n", sink.to_json().c_str());
-  } else {
-    std::printf("%s", sink.to_text().c_str());
-    std::printf("%zu diagnostic(s), %zu error(s), %zu warning(s)",
-                sink.size(), sink.error_count(),
-                sink.count(verify::Severity::kWarning));
-    if (suppressed > 0)
-      std::printf(", %zu baseline-suppressed", suppressed);
-    std::printf("\n");
-  }
-  // A freshly written baseline acknowledges the findings it records.
-  if (!baseline_write_path.empty() && result.unreadable.empty()) return 0;
-  return result.exit_code(werror);
+  return verify::report(tidy::outcome(result, &baseline), ropt);
 }
