@@ -10,9 +10,7 @@ namespace recosim::buscom {
 
 Buscom::Buscom(sim::Kernel& kernel, const BuscomConfig& config)
     : core::CommArchitecture(kernel, "BUS-COM"),
-      sim::Component(kernel, "BUS-COM"),
       config_(config),
-      trace_(kernel),
       schedule_(config.buses, config.slots_per_round),
       bus_tx_(static_cast<std::size_t>(config.buses), fpga::kInvalidModule),
       in_flight_(static_cast<std::size_t>(config.buses)) {
@@ -21,7 +19,6 @@ Buscom::Buscom(sim::Kernel& kernel, const BuscomConfig& config)
   assert(config.slots_per_round >= 1);
   assert(config.cycles_per_slot >= 1);
   assert(config.in_width_bits >= 8);
-  bind_activity(this);
   // The TDMA phase is pure bookkeeping while the bus carries nothing;
   // on_fast_forward() replays it, so an idle Buscom is fast-forwardable.
   set_ff_pollable(true);
@@ -35,7 +32,7 @@ bool Buscom::attach(fpga::ModuleId id, const fpga::HardwareModule&) {
   attach_order_.push_back(id);
   priority_.emplace(id, static_cast<int>(attach_order_.size()) - 1);
   tx_[id];
-  delivered_[id];
+  open_endpoint(id);
   // The arbiter's design-time default: deal static slots round-robin over
   // the currently attached modules; custom reassignments come afterwards
   // through reassign_*().
@@ -60,10 +57,7 @@ bool Buscom::detach(fpga::ModuleId id) {
     stats().counter("dropped_detach").add(tit->second.size());
     tx_.erase(tit);
   }
-  if (auto dit = delivered_.find(id); dit != delivered_.end()) {
-    stats().counter("dropped_detach").add(dit->second.size());
-    delivered_.erase(dit);
-  }
+  close_endpoint(id);
   schedule_.evict(id);
   for (auto& b : bus_tx_)
     if (b == id) b = fpga::kInvalidModule;
@@ -87,12 +81,6 @@ bool Buscom::detach(fpga::ModuleId id) {
   return true;
 }
 
-bool Buscom::is_attached(fpga::ModuleId id) const {
-  return priority_.count(id) > 0;
-}
-
-std::size_t Buscom::attached_count() const { return attach_order_.size(); }
-
 core::DesignParameters Buscom::design_parameters() const {
   core::DesignParameters d;
   d.name = "BUS-COM";
@@ -115,7 +103,7 @@ core::StructuralScores Buscom::structural_scores() const {
 }
 
 void Buscom::verify_invariants(verify::DiagnosticSink& sink) const {
-  const std::string arch = core::CommArchitecture::name();
+  const std::string arch = name();
   // BUS006: configuration ranges. The constructor asserts most of these in
   // debug builds; the lint path re-checks them as diagnostics.
   if (config_.buses < 1 || config_.max_modules < 1 ||
@@ -319,12 +307,6 @@ std::size_t Buscom::in_flight_packets(fpga::ModuleId involving) const {
   return n;
 }
 
-std::size_t Buscom::delivered_backlog() const {
-  std::size_t n = 0;
-  for (const auto& [m, queue] : delivered_) n += queue.size();
-  return n;
-}
-
 std::size_t Buscom::tx_backlog(fpga::ModuleId id) const {
   auto it = tx_.find(id);
   return it == tx_.end() ? 0 : it->second.size();
@@ -336,14 +318,6 @@ bool Buscom::do_send(const proto::Packet& p) {
   if (it->second.size() >= config_.tx_queue_depth) return false;
   it->second.push_back(TxPacket{p, 0});
   return true;
-}
-
-std::optional<proto::Packet> Buscom::do_receive(fpga::ModuleId at) {
-  auto it = delivered_.find(at);
-  if (it == delivered_.end() || it->second.empty()) return std::nullopt;
-  proto::Packet p = it->second.front();
-  it->second.pop_front();
-  return p;
 }
 
 fpga::ModuleId Buscom::arbitrate(int b, int slot_idx) const {
@@ -433,11 +407,7 @@ void Buscom::finish_slot_transfers() {
     re.bytes_received += fl.bytes;
     if (fl.last) re.got_last = true;
     if (re.got_last && re.bytes_received >= re.packet.payload_bytes) {
-      if (is_attached(re.packet.dst)) {
-        delivered_[re.packet.dst].push_back(re.packet);
-      } else {
-        stats().counter("dropped_detach").add();
-      }
+      if (!deliver(re.packet)) stats().counter("dropped_detach").add();
       reassembly_.erase(key);
     }
   }
@@ -472,7 +442,7 @@ bool Buscom::is_quiescent() const {
   // cycles_per_slot) are pure phase increments regardless of traffic, so
   // the kernel may jump to the cycle before the slot boundary.
   if (idle_quiescent()) return true;
-  return sim::Component::kernel().busy_path_tuning().burst_transfers &&
+  return kernel().busy_path_tuning().burst_transfers &&
          slot_cycle_ != 0 && slot_cycle_ + 1 < config_.cycles_per_slot;
 }
 
@@ -483,8 +453,7 @@ sim::Cycle Buscom::quiescent_deadline() const {
   // registers survive untouched — exactly what the skipped increments
   // would have left.
   if (idle_quiescent()) return sim::kNeverCycle;
-  return sim::Component::kernel().now() +
-         (config_.cycles_per_slot - 1 - slot_cycle_);
+  return kernel().now() + (config_.cycles_per_slot - 1 - slot_cycle_);
 }
 
 void Buscom::on_fast_forward(sim::Cycle from, sim::Cycle to) {

@@ -4,14 +4,11 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
 #include "buscom/schedule.hpp"
 #include "core/comm_arch.hpp"
-#include "sim/component.hpp"
-#include "sim/trace.hpp"
 
 namespace recosim::buscom {
 
@@ -36,7 +33,7 @@ struct BuscomConfig {
 /// dynamic slots go to the highest-priority module with pending traffic.
 /// Frames carry a 20-bit header; payload per packet is capped at 256 bytes
 /// (larger packets are fragmented and reassembled by (src, packet id)).
-class Buscom final : public core::CommArchitecture, public sim::Component {
+class Buscom final : public core::CommArchitecture {
  public:
   Buscom(sim::Kernel& kernel, const BuscomConfig& config);
 
@@ -45,8 +42,6 @@ class Buscom final : public core::CommArchitecture, public sim::Component {
   // CommArchitecture ---------------------------------------------------------
   bool attach(fpga::ModuleId id, const fpga::HardwareModule& m) override;
   bool detach(fpga::ModuleId id) override;
-  bool is_attached(fpga::ModuleId id) const override;
-  std::size_t attached_count() const override;
   core::DesignParameters design_parameters() const override;
   core::StructuralScores structural_scores() const override;
   unsigned link_width_bits() const override { return config_.in_width_bits; }
@@ -65,7 +60,6 @@ class Buscom final : public core::CommArchitecture, public sim::Component {
   /// arbitration prefers quiesced modules so their backlog drains fast.
   std::size_t in_flight_packets(
       fpga::ModuleId involving = fpga::kInvalidModule) const override;
-  std::size_t delivered_backlog() const override;
 
   /// Hard-fail bus `bus`: its slots are masked from arbitration, the
   /// fragment it carried is rolled back into the sender's TX queue (so no
@@ -107,8 +101,6 @@ class Buscom final : public core::CommArchitecture, public sim::Component {
 
   std::size_t tx_backlog(fpga::ModuleId id) const;
 
-  sim::Trace& trace() { return trace_; }
-
   // Component -----------------------------------------------------------------
   void eval() override {}
   void commit() override;
@@ -126,7 +118,6 @@ class Buscom final : public core::CommArchitecture, public sim::Component {
 
  protected:
   bool do_send(const proto::Packet& p) override;
-  std::optional<proto::Packet> do_receive(fpga::ModuleId at) override;
 
  private:
   struct TxPacket {
@@ -159,7 +150,6 @@ class Buscom final : public core::CommArchitecture, public sim::Component {
   void begin_slot_transfers(int slot_idx);
 
   BuscomConfig config_;
-  sim::Trace trace_;
   SystemSchedule schedule_;
   /// Slot-table edits staged until the next round start.
   std::vector<std::function<void()>> pending_ops_;
@@ -167,7 +157,6 @@ class Buscom final : public core::CommArchitecture, public sim::Component {
   std::vector<fpga::ModuleId> attach_order_;
   std::map<fpga::ModuleId, int> priority_;
   std::map<fpga::ModuleId, std::deque<TxPacket>> tx_;
-  std::map<fpga::ModuleId, std::deque<proto::Packet>> delivered_;
   std::map<ReassemblyKey, Reassembly> reassembly_;
   /// Per-bus transfer active in the current slot: transmitting module,
   /// or kInvalidModule when the slot is idle.

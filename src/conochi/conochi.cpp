@@ -35,13 +35,10 @@ void scan_work_bits(const std::vector<std::uint64_t>& bits, Fn&& fn) {
 
 Conochi::Conochi(sim::Kernel& kernel, const ConochiConfig& config)
     : core::CommArchitecture(kernel, "CoNoChi"),
-      sim::Component(kernel, "CoNoChi"),
       config_(config),
-      trace_(kernel),
       grid_(config.grid_width, config.grid_height) {
   assert(config.grid_width >= 2 && config.grid_height >= 2);
   assert(config.link_width_bits >= 1);
-  bind_activity(this);
 }
 
 bool Conochi::network_empty() const { return work_count_ == 0; }
@@ -87,12 +84,6 @@ void Conochi::rebuild_work_set() {
   work_count_ = 0;
   for (const auto& s : switches_)
     if (switch_has_work(s)) mark_work(s.id);
-}
-
-std::size_t Conochi::delivered_backlog() const {
-  std::size_t n = 0;
-  for (const auto& [m, queue] : delivered_) n += queue.size();
-  return n;
 }
 
 Conochi::Switch* Conochi::switch_at(fpga::Point pos) {
@@ -475,7 +466,7 @@ void Conochi::recompute_tables() {
       // Live network: one switch is rewritten at a time, without stalling
       // the others (paper §3.2).
       next_table_install_ =
-          std::max(next_table_install_, sim::Component::kernel().now()) +
+          std::max(next_table_install_, kernel().now()) +
           config_.table_update_cycles;
       src.table_install_at = next_table_install_;
       src.table_pending = true;
@@ -530,7 +521,7 @@ bool Conochi::attach_on(Switch& s, fpga::ModuleId id, bool allow_parked) {
     s.module[static_cast<std::size_t>(p)] = id;
     attachments_[id] = Attachment{s.id, p};
     resolution_[id] = s.id;
-    delivered_[id];
+    open_endpoint(id);
     wake_network();
     debug_check_invariants();
     return true;
@@ -559,10 +550,7 @@ bool Conochi::detach(fpga::ModuleId id) {
   s.module[static_cast<std::size_t>(it->second.port)] = fpga::kInvalidModule;
   attachments_.erase(it);
   resolution_.erase(id);
-  if (auto dit = delivered_.find(id); dit != delivered_.end()) {
-    stats().counter("dropped_detach").add(dit->second.size());
-    delivered_.erase(dit);
-  }
+  close_endpoint(id);
   for (auto& sx : switches_) sx.redirect.erase(id);
   rebuild_links();  // the freed port may reconnect a parked line
   recompute_tables();
@@ -627,7 +615,7 @@ bool Conochi::relocate_module(fpga::ModuleId id, fpga::Point new_switch) {
   // Anchored: the update is queued in the kernel, which outlives this
   // network — it must degrade to a no-op if the network is torn down
   // before the delay elapses.
-  sim::Component::kernel().schedule_in(
+  kernel().schedule_in(
       config_.address_update_delay, anchor_.wrap([this, id, new_id] {
         if (attachments_.count(id)) resolution_[id] = new_id;
       }));
@@ -635,12 +623,6 @@ bool Conochi::relocate_module(fpga::ModuleId id, fpga::Point new_switch) {
   wake_network();
   return true;
 }
-
-bool Conochi::is_attached(fpga::ModuleId id) const {
-  return attachments_.count(id) > 0;
-}
-
-std::size_t Conochi::attached_count() const { return attachments_.size(); }
 
 core::DesignParameters Conochi::design_parameters() const {
   core::DesignParameters d;
@@ -693,7 +675,7 @@ std::optional<fpga::Point> Conochi::switch_of(fpga::ModuleId id) const {
 }
 
 void Conochi::verify_invariants(verify::DiagnosticSink& sink) const {
-  const std::string arch = core::CommArchitecture::name();
+  const std::string arch = name();
   const bool faults_present = !failed_switches_.empty();
 
   // CON006: grid/switch/link bookkeeping must agree with itself.
@@ -921,10 +903,7 @@ bool Conochi::do_send(const proto::Packet& p) {
   if (sit == attachments_.end()) return false;
   auto rit = resolution_.find(p.dst);
   if (rit == resolution_.end()) return false;  // unresolvable logical addr
-  if (p.src == p.dst) {
-    delivered_[p.dst].push_back(p);
-    return true;
-  }
+  if (p.src == p.dst) return deliver(p);
   // A module behind a failed switch cannot inject; traffic aimed at one
   // is rejected at the source instead of being blackholed.
   if (!sw(sit->second.switch_id).active || !sw(rit->second).active)
@@ -936,7 +915,7 @@ bool Conochi::do_send(const proto::Packet& p) {
   const std::uint32_t frags =
       p.payload_bytes == 0 ? 1 : (p.payload_bytes + cap - 1) / cap;
   if (inj.size() + frags > config_.input_buffer_packets) return false;
-  const sim::Cycle now = sim::Component::kernel().now();
+  const sim::Cycle now = kernel().now();
   for (std::uint32_t f = 0; f < frags; ++f) {
     proto::Packet frag = p;
     frag.fragment_index = f;
@@ -950,18 +929,10 @@ bool Conochi::do_send(const proto::Packet& p) {
   return true;
 }
 
-std::optional<proto::Packet> Conochi::do_receive(fpga::ModuleId at) {
-  auto it = delivered_.find(at);
-  if (it == delivered_.end() || it->second.empty()) return std::nullopt;
-  proto::Packet p = it->second.front();
-  it->second.pop_front();
-  return p;
-}
-
 void Conochi::deliver_or_redirect(Switch& s, int in_port) {
   auto& q = s.in[static_cast<std::size_t>(in_port)];
   QueuedPacket qp = q.front();
-  const sim::Cycle now = sim::Component::kernel().now();
+  const sim::Cycle now = kernel().now();
   // The module sees the packet once the tail has arrived.
   if (now < qp.head_ready + total_flits(qp.packet)) return;
   auto ait = attachments_.find(qp.packet.dst);
@@ -978,7 +949,7 @@ void Conochi::deliver_or_redirect(Switch& s, int in_port) {
       qp.packet.fragment_index = 0;
       qp.packet.fragment_count = 1;
     }
-    delivered_[qp.packet.dst].push_back(qp.packet);
+    if (!deliver(qp.packet)) stats().counter("dropped_no_module").add();
     return;
   }
   auto redir = s.redirect.find(qp.packet.dst);
@@ -997,7 +968,7 @@ void Conochi::deliver_or_redirect(Switch& s, int in_port) {
 bool Conochi::try_forward(Switch& s, int in_port) {
   auto& q = s.in[static_cast<std::size_t>(in_port)];
   QueuedPacket& qp = q.front();
-  const sim::Cycle now = sim::Component::kernel().now();
+  const sim::Cycle now = kernel().now();
   auto it = s.table.find(qp.dst_switch);
   if (it == s.table.end()) {
     if (s.table_pending) return false;  // table update under way: wait
@@ -1031,7 +1002,7 @@ bool Conochi::try_forward(Switch& s, int in_port) {
 }
 
 void Conochi::process_switch(Switch& s) {
-  const sim::Cycle now = sim::Component::kernel().now();
+  const sim::Cycle now = kernel().now();
   if (s.table_pending && now >= s.table_install_at) {
     s.table = s.pending_table;
     s.table_pending = false;
@@ -1050,7 +1021,7 @@ void Conochi::process_switch(Switch& s) {
 }
 
 void Conochi::commit() {
-  if (sim::Component::kernel().busy_path_tuning().router_gating) {
+  if (kernel().busy_path_tuning().router_gating) {
     // Visit only switches with queued packets or a staged table install;
     // the live ascending scan matches the full walk bit-identically (a
     // forward within one pass is seen by the target's later visit, a push

@@ -15,8 +15,6 @@
 #include "proto/address.hpp"
 #include "sim/anchor.hpp"
 #include "sim/arena.hpp"
-#include "sim/component.hpp"
-#include "sim/trace.hpp"
 
 namespace recosim::conochi {
 
@@ -58,7 +56,7 @@ inline constexpr int kSwitchPorts = 4;
 /// three-layer, 96-bit header: physical addresses route (table lookup),
 /// logical addresses are resolved by interface modules, and redirection
 /// entries forward traffic for modules that moved.
-class Conochi final : public core::CommArchitecture, public sim::Component {
+class Conochi final : public core::CommArchitecture {
  public:
   Conochi(sim::Kernel& kernel, const ConochiConfig& config);
 
@@ -68,8 +66,6 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
   // CommArchitecture ---------------------------------------------------------
   bool attach(fpga::ModuleId id, const fpga::HardwareModule& m) override;
   bool detach(fpga::ModuleId id) override;
-  bool is_attached(fpga::ModuleId id) const override;
-  std::size_t attached_count() const override;
   core::DesignParameters design_parameters() const override;
   core::StructuralScores structural_scores() const override;
   unsigned link_width_bits() const override {
@@ -90,7 +86,6 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
   /// transaction's snapshot stays stable while it drains.
   std::size_t in_flight_packets(
       fpga::ModuleId involving = fpga::kInvalidModule) const override;
-  std::size_t delivered_backlog() const override;
 
   /// Hard-fail the switch at (x, y). Unlike remove_switch() this works
   /// with modules attached (they are isolated until heal_node()), drops
@@ -164,8 +159,6 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
 
   std::string render() const { return grid_.render(); }
 
-  sim::Trace& trace() { return trace_; }
-
   // Component -----------------------------------------------------------------
   void eval() override {}
   void commit() override;
@@ -176,7 +169,6 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
 
  protected:
   bool do_send(const proto::Packet& p) override;
-  std::optional<proto::Packet> do_receive(fpga::ModuleId at) override;
 
  private:
   struct QueuedPacket {
@@ -261,7 +253,6 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
   bool relocate_module(fpga::ModuleId id, fpga::Point new_switch);
 
   ConochiConfig config_;
-  sim::Trace trace_;
   TileGrid grid_;
   std::vector<Switch> switches_;  // slot reuse: inactive entries stay
   std::vector<std::uint64_t> work_bits_;
@@ -277,7 +268,6 @@ class Conochi final : public core::CommArchitecture, public sim::Component {
   std::map<fpga::ModuleId, Attachment> attachments_;
   /// The interface modules' logical->physical view used at injection.
   std::map<fpga::ModuleId, int> resolution_;
-  std::map<fpga::ModuleId, sim::PoolDeque<proto::Packet>> delivered_;
   /// Fragment counting for transfers above the 1024-byte payload cap,
   /// keyed by (source module, packet id).
   struct FragmentReassembly {

@@ -9,7 +9,7 @@
 namespace recosim::core {
 
 CommArchitecture::CommArchitecture(sim::Kernel& kernel, std::string name)
-    : kernel_(kernel), name_(std::move(name)) {}
+    : sim::Component(kernel, std::move(name)) {}
 
 void CommArchitecture::verify_invariants(verify::DiagnosticSink&) const {}
 
@@ -29,7 +29,7 @@ void CommArchitecture::debug_check_invariants() const {
 
 bool CommArchitecture::quiesce(fpga::ModuleId id) {
   if (!is_attached(id) || quiesced_.count(id)) return false;
-  quiesced_.emplace(id, kernel_.now());
+  quiesced_.emplace(id, kernel().now());
   stats_.counter("quiesces").add();
   wake_network();
   on_quiesce(id);
@@ -66,7 +66,7 @@ bool CommArchitecture::send(proto::Packet p) {
     stats_.counter("quiesce_exempted").add();
   }
   p.id = next_packet_id();
-  p.injected_at = kernel_.now();
+  p.injected_at = kernel().now();
   proto::seal(p);
   if (!do_send(p)) {
     stats_.counter("send_rejected").add();
@@ -78,21 +78,40 @@ bool CommArchitecture::send(proto::Packet p) {
   return true;
 }
 
+void CommArchitecture::close_endpoint(fpga::ModuleId id) {
+  auto it = endpoints_.find(id);
+  if (it == endpoints_.end()) return;
+  stats_.counter("dropped_detach").add(it->second.size());
+  backlog_ -= it->second.size();
+  endpoints_.erase(it);
+}
+
+bool CommArchitecture::deliver(const proto::Packet& p) {
+  auto it = endpoints_.find(p.dst);
+  if (it == endpoints_.end()) return false;
+  it->second.push_back(p);
+  ++backlog_;
+  return true;
+}
+
 std::optional<proto::Packet> CommArchitecture::receive(fpga::ModuleId at) {
-  auto p = do_receive(at);
-  if (!p) return std::nullopt;
-  if (delivery_fault_ && !delivery_fault_(*p)) {
+  auto it = endpoints_.find(at);
+  if (it == endpoints_.end() || it->second.empty()) return std::nullopt;
+  proto::Packet p = std::move(it->second.front());
+  it->second.pop_front();
+  --backlog_;
+  if (delivery_fault_ && !delivery_fault_(p)) {
     stats_.counter("dropped_fault").add();
     return std::nullopt;
   }
-  if (!proto::verify(*p)) {
+  if (!proto::verify(p)) {
     stats_.counter("crc_dropped").add();
     return std::nullopt;
   }
   stats_.counter("delivered").add();
-  stats_.counter("delivered_bytes").add(p->payload_bytes);
+  stats_.counter("delivered_bytes").add(p.payload_bytes);
   stats_.stat("latency_cycles")
-      .add(static_cast<double>(kernel_.now() - p->injected_at));
+      .add(static_cast<double>(kernel().now() - p.injected_at));
   return p;
 }
 

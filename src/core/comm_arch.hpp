@@ -10,6 +10,7 @@
 #include "fpga/module.hpp"
 #include "fpga/resource.hpp"
 #include "proto/packet.hpp"
+#include "sim/arena.hpp"
 #include "sim/component.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
@@ -20,10 +21,21 @@ class DiagnosticSink;
 
 namespace recosim::core {
 
-/// Common interface of all four communication architectures. Examples,
-/// traffic generators and the comparison runner are written against this
-/// class only, which is what makes the paper's cross-architecture
-/// comparison mechanical.
+/// Common interface of all four communication architectures (and the
+/// hierarchical-bus baseline). Examples, traffic generators and the
+/// comparison runner are written against this class only, which is what
+/// makes the paper's cross-architecture comparison mechanical.
+///
+/// The base is the network's one sim::Component and owns everything the
+/// backends share: the endpoint table (one delivery queue per attached
+/// module, receive(), the backlog count), admission (send() stamping and
+/// sealing, quiesce/resume), the transient-fault delivery hook and the
+/// drop counters. A backend implements only what the paper says differs
+/// between the architectures: topology, switching and arbitration (its
+/// eval()/commit(), do_send() and fabric census), plus its attach/detach
+/// placement, fault hooks and verify_invariants(). It opens and closes
+/// endpoints as modules come and go and calls deliver() where a packet
+/// leaves its fabric.
 ///
 /// Data-plane contract:
 ///  * send() stages a packet at the source module's network interface in
@@ -34,16 +46,10 @@ namespace recosim::core {
 ///    "latency_cycles" running stat).
 ///  * Connection-oriented architectures (RMBoC) establish their circuit
 ///    transparently on first use.
-class CommArchitecture {
+class CommArchitecture : public sim::Component {
  public:
+  /// Registers the network with `kernel` as a component named `name`.
   CommArchitecture(sim::Kernel& kernel, std::string name);
-  virtual ~CommArchitecture() = default;
-
-  CommArchitecture(const CommArchitecture&) = delete;
-  CommArchitecture& operator=(const CommArchitecture&) = delete;
-
-  const std::string& name() const { return name_; }
-  sim::Kernel& kernel() const { return kernel_; }
 
   // -- module lifecycle ----------------------------------------------------
 
@@ -51,8 +57,11 @@ class CommArchitecture {
   /// reconfiguration manager's job; attach() only wires up the interface.
   virtual bool attach(fpga::ModuleId id, const fpga::HardwareModule& m) = 0;
   virtual bool detach(fpga::ModuleId id) = 0;
-  virtual bool is_attached(fpga::ModuleId id) const = 0;
-  virtual std::size_t attached_count() const = 0;
+  /// True while `id` has an endpoint (between attach and detach).
+  bool is_attached(fpga::ModuleId id) const {
+    return endpoints_.count(id) > 0;
+  }
+  std::size_t attached_count() const { return endpoints_.size(); }
 
   // -- data plane ----------------------------------------------------------
 
@@ -109,9 +118,8 @@ class CommArchitecture {
       fpga::ModuleId involving = fpga::kInvalidModule) const;
 
   /// Packets that landed in a delivery queue but have not been receive()d
-  /// yet. Architectures override with an exact census; together with
-  /// in_flight_packets() it defines network_idle().
-  virtual std::size_t delivered_backlog() const { return 0; }
+  /// yet; together with in_flight_packets() it defines network_idle().
+  std::size_t delivered_backlog() const { return backlog_; }
 
   /// True when no packet exists anywhere in the architecture — neither in
   /// the fabric nor waiting in a delivery queue. Consumers (traffic sinks,
@@ -206,8 +214,20 @@ class CommArchitecture {
  protected:
   /// Architecture-specific injection; packet already stamped.
   virtual bool do_send(const proto::Packet& p) = 0;
-  /// Architecture-specific delivery-queue pop.
-  virtual std::optional<proto::Packet> do_receive(fpga::ModuleId at) = 0;
+
+  // -- endpoint table ----------------------------------------------------------
+
+  /// Give module `id` an (empty) delivery queue; attach() calls this.
+  void open_endpoint(fpga::ModuleId id) { endpoints_.try_emplace(id); }
+
+  /// Remove `id`'s delivery queue; packets still waiting in it are lost
+  /// and counted under "dropped_detach". detach() calls this.
+  void close_endpoint(fpga::ModuleId id);
+
+  /// Land `p` in the delivery queue of p.dst. Returns false when p.dst
+  /// has no endpoint; the caller then counts the loss under its own
+  /// reason ("dropped_detach", "dropped_no_module").
+  bool deliver(const proto::Packet& p);
 
   /// Backend hooks fired by quiesce()/resume() after the base bookkeeping
   /// updated; is_quiesced(id) already reflects the new state.
@@ -216,17 +236,10 @@ class CommArchitecture {
 
   std::uint64_t next_packet_id() { return ++packet_serial_; }
 
-  /// Architectures that are themselves sim::Components register here so
-  /// the base class can wake them when new work arrives (a send admitted,
-  /// a quiesce/resume). Architecture-specific mutators (attach/detach,
-  /// fault hooks, topology edits) must call wake_network() themselves.
-  void bind_activity(sim::Component* c) { net_component_ = c; }
-
-  /// Mark the bound network component runnable. Idempotent, no-op when no
-  /// component is bound.
-  void wake_network() {
-    if (net_component_) net_component_->set_active(true);
-  }
+  /// Mark the network runnable. Idempotent. send(), quiesce() and
+  /// resume() call it; architecture-specific mutators (attach/detach,
+  /// fault hooks, topology edits) must call it themselves.
+  void wake_network() { set_active(true); }
 
   /// In checked builds (RECOSIM_CHECKS_ENABLED): run verify_invariants()
   /// and check-fail on the first error-severity diagnostic. The
@@ -236,14 +249,13 @@ class CommArchitecture {
   void debug_check_invariants() const;
 
  private:
-  sim::Kernel& kernel_;
-  std::string name_;
   sim::StatSet stats_;
   std::uint64_t packet_serial_ = 0;
   std::function<bool(proto::Packet&)> delivery_fault_;
   std::function<bool(const proto::Packet&, sim::Cycle)> quiesce_exemption_;
   std::map<fpga::ModuleId, sim::Cycle> quiesced_;  ///< id -> quiesced-at cycle
-  sim::Component* net_component_ = nullptr;
+  std::map<fpga::ModuleId, sim::PoolDeque<proto::Packet>> endpoints_;
+  std::size_t backlog_ = 0;  ///< packets waiting across all endpoints_
 };
 
 }  // namespace recosim::core

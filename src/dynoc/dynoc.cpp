@@ -18,9 +18,7 @@ std::string rect_str(const fpga::Rect& r) {
 
 Dynoc::Dynoc(sim::Kernel& kernel, const DynocConfig& config)
     : core::CommArchitecture(kernel, "DyNoC"),
-      sim::Component(kernel, "DyNoC"),
       config_(config),
-      trace_(kernel),
       routers_(static_cast<std::size_t>(config.width) *
                static_cast<std::size_t>(config.height)),
       work_bits_((routers_.size() + 63) / 64, 0),
@@ -29,7 +27,6 @@ Dynoc::Dynoc(sim::Kernel& kernel, const DynocConfig& config)
   assert(config.width >= 3 && config.height >= 3);
   assert(config.link_width_bits >= 1);
   assert(config.input_buffer_packets >= 1);
-  bind_activity(this);
 }
 
 bool Dynoc::network_empty() const {
@@ -75,12 +72,6 @@ void Dynoc::rebuild_work_set() {
   for (std::size_t i = 0; i < routers_.size(); ++i)
     if (routers_[i].active && router_has_work(routers_[i]))
       mark_work(static_cast<int>(i));
-}
-
-std::size_t Dynoc::delivered_backlog() const {
-  std::size_t n = 0;
-  for (const auto& [m, queue] : delivered_) n += queue.size();
-  return n;
 }
 
 bool Dynoc::router_active(fpga::Point p) const {
@@ -220,7 +211,7 @@ bool Dynoc::attach_at(fpga::ModuleId id, const fpga::HardwareModule& m,
     }
   }
   placements_.emplace(id, Placement{r, choose_access(r)});
-  delivered_[id];
+  open_endpoint(id);
   rebuild_work_set();
   wake_network();
   debug_check_invariants();
@@ -236,10 +227,7 @@ bool Dynoc::detach(fpga::ModuleId id) {
       for (int x = r.x; x < r.right(); ++x) at({x, y}).active = true;
   }
   placements_.erase(it);
-  if (auto dit = delivered_.find(id); dit != delivered_.end()) {
-    stats().counter("dropped_detach").add(dit->second.size());
-    delivered_.erase(dit);
-  }
+  close_endpoint(id);
   rebuild_work_set();
   wake_network();
   debug_check_invariants();
@@ -366,7 +354,7 @@ bool Dynoc::heal_node(int x, int y) {
 }
 
 void Dynoc::verify_invariants(verify::DiagnosticSink& sink) const {
-  const std::string arch = core::CommArchitecture::name();
+  const std::string arch = name();
   // Fault-injected router failures legitimately degrade reachability and
   // the surround; findings they explain are warnings, not errors.
   const bool faults_present = !failed_.empty();
@@ -439,12 +427,6 @@ void Dynoc::verify_invariants(verify::DiagnosticSink& sink) const {
     }
   }
 }
-
-bool Dynoc::is_attached(fpga::ModuleId id) const {
-  return placements_.count(id) > 0;
-}
-
-std::size_t Dynoc::attached_count() const { return placements_.size(); }
 
 core::DesignParameters Dynoc::design_parameters() const {
   core::DesignParameters d;
@@ -532,10 +514,7 @@ bool Dynoc::do_send(const proto::Packet& p) {
   auto sit = placements_.find(p.src);
   auto dit = placements_.find(p.dst);
   if (sit == placements_.end() || dit == placements_.end()) return false;
-  if (p.src == p.dst) {
-    delivered_[p.dst].push_back(p);
-    return true;
-  }
+  if (p.src == p.dst) return deliver(p);
   // An isolated endpoint (its access router failed and no ring router
   // survives) rejects traffic instead of blackholing it.
   if (!router_active(sit->second.access) ||
@@ -555,14 +534,6 @@ bool Dynoc::do_send(const proto::Packet& p) {
   return true;
 }
 
-std::optional<proto::Packet> Dynoc::do_receive(fpga::ModuleId at_module) {
-  auto it = delivered_.find(at_module);
-  if (it == delivered_.end() || it->second.empty()) return std::nullopt;
-  proto::Packet p = it->second.front();
-  it->second.pop_front();
-  return p;
-}
-
 void Dynoc::advance_router_links(fpga::Point here, Router& router) {
   if (!router.active) return;
   for (int d = 0; d < kDirCount; ++d) {
@@ -579,7 +550,7 @@ void Dynoc::advance_router_links(fpga::Point here, Router& router) {
               static_cast<int>(opposite(static_cast<Dir>(d))));
           if (target.reserved[inport] > 0) --target.reserved[inport];
           o.packet.route_timer = config_.routing_delay;
-          o.packet.tail_arrival = sim::Component::kernel().now();
+          o.packet.tail_arrival = kernel().now();
           target.in[inport].push_back(std::move(o.packet));
           mark_work(idx(t));
         } else {
@@ -607,17 +578,11 @@ void Dynoc::start_router_transfers(fpga::Point here, Router& router) {
       if (q.empty() || q.front().route_timer > 0) continue;
       if (!(q.front().dest == here)) continue;
       // A cut-through head must wait for its tail before ejecting.
-      if (q.front().tail_arrival > sim::Component::kernel().now())
-        continue;
-      const proto::Packet pkt = q.front().packet;
+      if (q.front().tail_arrival > kernel().now()) continue;
+      if (!deliver(q.front().packet))
+        stats().counter("dropped_no_module").add();
       q.pop_front();
       rr = (port + 1) % kPorts;
-      auto dit = delivered_.find(pkt.dst);
-      if (dit != delivered_.end()) {
-        dit->second.push_back(pkt);
-      } else {
-        stats().counter("dropped_no_module").add();
-      }
       break;
     }
   }
@@ -634,7 +599,11 @@ void Dynoc::start_router_transfers(fpga::Point here, Router& router) {
       if (q.front().dest == here) continue;  // handled by ejection
       auto dir = sxy_.route(here, q.front().dest, q.front().sxy);
       if (!dir) {
+        // No direction left around the obstacles: the packet is lost, and
+        // counted as a drop so packets_dropped() keeps the conservation
+        // law.
         stats().counter("routing_failures").add();
+        stats().counter("dropped_stale_route").add();
         q.pop_front();
         continue;
       }
@@ -654,7 +623,7 @@ void Dynoc::start_router_transfers(fpga::Point here, Router& router) {
         FlyingPacket moved = std::move(q.front());
         q.pop_front();
         moved.route_timer = config_.routing_delay;
-        moved.tail_arrival = sim::Component::kernel().now() + flits;
+        moved.tail_arrival = kernel().now() + flits;
         target.in[inport].push_back(std::move(moved));
         mark_work(idx(t));
         o.busy = true;
@@ -711,7 +680,7 @@ void scan_work_bits(const std::vector<std::uint64_t>& bits, Fn&& fn) {
 }  // namespace
 
 void Dynoc::commit() {
-  if (sim::Component::kernel().busy_path_tuning().router_gating) {
+  if (kernel().busy_path_tuning().router_gating) {
     // Only routers with queued packets or busy links pay; everything else
     // stays out of the cycle walk entirely.
     const int w = config_.width;

@@ -13,8 +13,6 @@
 #include "dynoc/sxy_routing.hpp"
 #include "fpga/geometry.hpp"
 #include "sim/arena.hpp"
-#include "sim/component.hpp"
-#include "sim/trace.hpp"
 
 namespace recosim::dynoc {
 
@@ -53,7 +51,7 @@ struct DynocConfig {
 /// Switching is store-and-forward at packet granularity with per-port
 /// input buffers, credit-reserved link transfers of one flit per cycle and
 /// a fixed routing-decision delay per hop.
-class Dynoc final : public core::CommArchitecture, public sim::Component {
+class Dynoc final : public core::CommArchitecture {
  public:
   Dynoc(sim::Kernel& kernel, const DynocConfig& config);
 
@@ -62,8 +60,6 @@ class Dynoc final : public core::CommArchitecture, public sim::Component {
   // CommArchitecture ---------------------------------------------------------
   bool attach(fpga::ModuleId id, const fpga::HardwareModule& m) override;
   bool detach(fpga::ModuleId id) override;
-  bool is_attached(fpga::ModuleId id) const override;
-  std::size_t attached_count() const override;
   core::DesignParameters design_parameters() const override;
   core::StructuralScores structural_scores() const override;
   unsigned link_width_bits() const override {
@@ -82,7 +78,6 @@ class Dynoc final : public core::CommArchitecture, public sim::Component {
   /// census); `involving` filters by packet endpoint.
   std::size_t in_flight_packets(
       fpga::ModuleId involving = fpga::kInvalidModule) const override;
-  std::size_t delivered_backlog() const override;
 
   /// Hard-fail the router at (x, y): its buffered and in-flight traffic is
   /// lost (counted as "packets_dropped_fault"), it becomes a 1x1 S-XY
@@ -118,7 +113,8 @@ class Dynoc final : public core::CommArchitecture, public sim::Component {
   std::string render() const;
 
   /// Packets dropped because routing failed (walled-in; should stay 0
-  /// under the placement invariant).
+  /// under the placement invariant). Each is also counted under
+  /// "dropped_stale_route", so packets_dropped() includes them.
   std::uint64_t routing_failures() const {
     return stats().counter_value("routing_failures");
   }
@@ -131,8 +127,6 @@ class Dynoc final : public core::CommArchitecture, public sim::Component {
   /// max/mean of the non-zero link loads (1.0 = perfectly even).
   double link_load_imbalance() const;
 
-  sim::Trace& trace() { return trace_; }
-
   // Component -----------------------------------------------------------------
   void eval() override {}
   void commit() override;
@@ -143,7 +137,6 @@ class Dynoc final : public core::CommArchitecture, public sim::Component {
 
  protected:
   bool do_send(const proto::Packet& p) override;
-  std::optional<proto::Packet> do_receive(fpga::ModuleId at) override;
 
  private:
   static constexpr int kPorts = 5;  // N,E,S,W,Local
@@ -218,13 +211,11 @@ class Dynoc final : public core::CommArchitecture, public sim::Component {
   void rebuild_work_set();
 
   DynocConfig config_;
-  sim::Trace trace_;
   std::vector<Router> routers_;
   std::vector<std::uint64_t> work_bits_;
   std::size_t work_count_ = 0;
   std::set<int> failed_;  // router indices taken down by fail_node()
   std::map<fpga::ModuleId, Placement> placements_;
-  std::map<fpga::ModuleId, sim::PoolDeque<proto::Packet>> delivered_;
   SxyRouter sxy_;
 };
 

@@ -6,15 +6,12 @@
 namespace recosim::hierbus {
 
 HierBus::HierBus(sim::Kernel& kernel, const HierBusConfig& config)
-    : core::CommArchitecture(kernel, "HierBus"),
-      sim::Component(kernel, "HierBus"),
-      config_(config) {
+    : core::CommArchitecture(kernel, "HierBus"), config_(config) {
   assert(config.system_width_bits >= 8);
   assert(config.peripheral_width_bits >= 8);
   assert(config.peripheral_divider >= 1);
   system_.tier = BusTier::kSystem;
   peripheral_.tier = BusTier::kPeripheral;
-  bind_activity(this);
 }
 
 bool HierBus::network_empty() const {
@@ -42,18 +39,12 @@ std::size_t HierBus::in_flight_packets(fpga::ModuleId involving) const {
   return n;
 }
 
-std::size_t HierBus::delivered_backlog() const {
-  std::size_t n = 0;
-  for (const auto& [m, queue] : delivered_) n += queue.size();
-  return n;
-}
-
 bool HierBus::attach_to(fpga::ModuleId id, BusTier tier) {
   if (id == fpga::kInvalidModule || tier_.count(id)) return false;
   tier_[id] = tier;
   bus_for(tier).members.push_back(id);
   tx_[id];
-  delivered_[id];
+  open_endpoint(id);
   wake_network();
   return true;
 }
@@ -75,20 +66,11 @@ bool HierBus::detach(fpga::ModuleId id) {
     stats().counter("dropped_detach").add(tit->second.size());
     tx_.erase(tit);
   }
-  if (auto dit = delivered_.find(id); dit != delivered_.end()) {
-    stats().counter("dropped_detach").add(dit->second.size());
-    delivered_.erase(dit);
-  }
+  close_endpoint(id);
   tier_.erase(it);
   wake_network();
   return true;
 }
-
-bool HierBus::is_attached(fpga::ModuleId id) const {
-  return tier_.count(id) > 0;
-}
-
-std::size_t HierBus::attached_count() const { return tier_.size(); }
 
 core::DesignParameters HierBus::design_parameters() const {
   core::DesignParameters d;
@@ -143,20 +125,9 @@ bool HierBus::do_send(const proto::Packet& p) {
   if (!is_attached(p.src) || !is_attached(p.dst)) return false;
   auto& q = tx_[p.src];
   if (q.size() >= config_.tx_queue_depth) return false;
-  if (p.src == p.dst) {
-    delivered_[p.dst].push_back(p);
-    return true;
-  }
+  if (p.src == p.dst) return deliver(p);
   q.push_back(p);
   return true;
-}
-
-std::optional<proto::Packet> HierBus::do_receive(fpga::ModuleId at) {
-  auto it = delivered_.find(at);
-  if (it == delivered_.end() || it->second.empty()) return std::nullopt;
-  proto::Packet p = it->second.front();
-  it->second.pop_front();
-  return p;
 }
 
 void HierBus::advance(Bus& bus) {
@@ -172,9 +143,7 @@ void HierBus::advance(Bus& bus) {
                                                 : to_system_;
     buffer.push_back(std::move(done.packet));
     stats().counter("bridge_transfers").add();
-  } else if (is_attached(done.packet.dst)) {
-    delivered_[done.packet.dst].push_back(std::move(done.packet));
-  } else {
+  } else if (!deliver(done.packet)) {
     stats().counter("dropped_detach").add();
   }
 }

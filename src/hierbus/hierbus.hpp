@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/comm_arch.hpp"
-#include "sim/component.hpp"
 
 namespace recosim::hierbus {
 
@@ -42,7 +41,7 @@ struct HierBusConfig {
 /// Modules attach before traffic starts (conventional SoCs fix the module
 /// set at design time); detach exists for API completeness but models a
 /// redesign, not runtime reconfiguration.
-class HierBus final : public core::CommArchitecture, public sim::Component {
+class HierBus final : public core::CommArchitecture {
  public:
   HierBus(sim::Kernel& kernel, const HierBusConfig& config);
 
@@ -56,8 +55,6 @@ class HierBus final : public core::CommArchitecture, public sim::Component {
   /// attach_to() for explicit placement.
   bool attach(fpga::ModuleId id, const fpga::HardwareModule& m) override;
   bool detach(fpga::ModuleId id) override;
-  bool is_attached(fpga::ModuleId id) const override;
-  std::size_t attached_count() const override;
   core::DesignParameters design_parameters() const override;
   core::StructuralScores structural_scores() const override;
   unsigned link_width_bits() const override {
@@ -76,7 +73,6 @@ class HierBus final : public core::CommArchitecture, public sim::Component {
   /// `involving` filters by packet endpoint.
   std::size_t in_flight_packets(
       fpga::ModuleId involving = fpga::kInvalidModule) const override;
-  std::size_t delivered_backlog() const override;
 
   // Component -----------------------------------------------------------------
   void eval() override {}
@@ -88,7 +84,6 @@ class HierBus final : public core::CommArchitecture, public sim::Component {
 
  protected:
   bool do_send(const proto::Packet& p) override;
-  std::optional<proto::Packet> do_receive(fpga::ModuleId at) override;
 
  private:
   struct Transfer {
@@ -117,7 +112,6 @@ class HierBus final : public core::CommArchitecture, public sim::Component {
   Bus peripheral_;
   std::map<fpga::ModuleId, BusTier> tier_;
   std::map<fpga::ModuleId, std::deque<proto::Packet>> tx_;
-  std::map<fpga::ModuleId, std::deque<proto::Packet>> delivered_;
   /// Bridge buffers per direction.
   std::deque<proto::Packet> to_system_;
   std::deque<proto::Packet> to_peripheral_;

@@ -10,7 +10,6 @@ namespace recosim::rmboc {
 
 Rmboc::Rmboc(sim::Kernel& kernel, const RmbocConfig& config)
     : core::CommArchitecture(kernel, "RMBoC"),
-      sim::Component(kernel, "RMBoC"),
       config_(config),
       trace_(kernel),
       module_by_slot_(static_cast<std::size_t>(config.slots),
@@ -24,7 +23,6 @@ Rmboc::Rmboc(sim::Kernel& kernel, const RmbocConfig& config)
   assert(config.slots >= 2);
   assert(config.buses >= 1);
   assert(config.link_width_bits >= 1);
-  bind_activity(this);
   // Stays active while channels exist, but mid-burst and idle-close waits
   // are time-triggered no-ops the kernel may fast-forward across.
   set_ff_pollable(true);
@@ -33,9 +31,9 @@ Rmboc::Rmboc(sim::Kernel& kernel, const RmbocConfig& config)
 bool Rmboc::is_quiescent() const {
   // With burst transfers off this reduces to the legacy condition: any
   // channel at all keeps the bus stepping cycle by cycle.
-  if (!sim::Component::kernel().busy_path_tuning().burst_transfers)
+  if (!kernel().busy_path_tuning().burst_transfers)
     return channels_.empty();
-  const sim::Cycle now = sim::Component::kernel().now();
+  const sim::Cycle now = kernel().now();
   for (const auto& [id, c] : channels_) {
     (void)id;
     if (c.state != ChannelState::kEstablished) return false;
@@ -77,7 +75,7 @@ bool Rmboc::attach(fpga::ModuleId id, const fpga::HardwareModule&) {
     if (module_by_slot_[static_cast<std::size_t>(s)] == fpga::kInvalidModule) {
       module_by_slot_[static_cast<std::size_t>(s)] = id;
       slot_by_module_[id] = s;
-      delivered_[id];
+      open_endpoint(id);
       wake_network();
       debug_check_invariants();
       return true;
@@ -103,21 +101,11 @@ bool Rmboc::detach(fpga::ModuleId id) {
   }
   module_by_slot_[static_cast<std::size_t>(slot)] = fpga::kInvalidModule;
   slot_by_module_.erase(it);
-  auto dit = delivered_.find(id);
-  if (dit != delivered_.end()) {
-    stats().counter("dropped_detach").add(dit->second.size());
-    delivered_.erase(dit);
-  }
+  close_endpoint(id);
   wake_network();
   debug_check_invariants();
   return true;
 }
-
-bool Rmboc::is_attached(fpga::ModuleId id) const {
-  return slot_by_module_.count(id) > 0;
-}
-
-std::size_t Rmboc::attached_count() const { return slot_by_module_.size(); }
 
 core::DesignParameters Rmboc::design_parameters() const {
   core::DesignParameters d;
@@ -155,7 +143,7 @@ sim::Cycle Rmboc::path_latency(fpga::ModuleId src, fpga::ModuleId dst) const {
 }
 
 void Rmboc::verify_invariants(verify::DiagnosticSink& sink) const {
-  const std::string arch = core::CommArchitecture::name();
+  const std::string arch = name();
   for (const auto& [id, c] : channels_) {
     const std::string obj = "channel " + std::to_string(id);
     // RMB006: endpoints must name real slots.
@@ -252,8 +240,9 @@ bool Rmboc::close_channel(fpga::ModuleId src, fpga::ModuleId dst) {
   c->msg_at_slot = c->src_slot;
   c->msg_timer = 1;
   c->burst_until = sim::kNeverCycle;  // an interrupted burst is abandoned
-  trace_.log(core::CommArchitecture::name(), "DESTROY " + std::to_string(src) + "->" +
-                         std::to_string(dst));
+  if (trace_.enabled())
+    trace_.log(name(),
+               "DESTROY " + std::to_string(src) + "->" + std::to_string(dst));
   return true;
 }
 
@@ -316,7 +305,7 @@ void Rmboc::replan_channel(Channel& c) {
   c.msg_timer = 1;
   c.words_remaining = 0;  // the interrupted packet restarts from word 0
   c.burst_until = sim::kNeverCycle;  // an interrupted burst restarts too
-  c.last_activity = sim::Component::kernel().now();
+  c.last_activity = kernel().now();
   stats().counter("channels_replanned").add();
 }
 
@@ -468,10 +457,8 @@ bool Rmboc::do_send(const proto::Packet& p) {
   auto s = slot_of(p.src);
   auto d = slot_of(p.dst);
   if (!s || !d) return false;
-  if (*s == *d) {  // loopback: module talking to itself bypasses the bus
-    delivered_[p.dst].push_back(p);
-    return true;
-  }
+  // Loopback: a module talking to itself bypasses the bus.
+  if (*s == *d) return deliver(p);
   // A module behind a failed cross-point is isolated: reject instead of
   // queueing traffic that can never move.
   if (failed_xp_.count(*s) || failed_xp_.count(*d)) return false;
@@ -480,7 +467,7 @@ bool Rmboc::do_send(const proto::Packet& p) {
     if (c->state == ChannelState::kDestroying) return false;
     if (c->queue.size() >= config_.xp_queue_depth) return false;
     c->queue.push_back(p);
-    c->last_activity = sim::Component::kernel().now();
+    c->last_activity = kernel().now();
     return true;
   }
   // Open a new channel: the REQUEST starts processing at the source
@@ -503,11 +490,12 @@ Rmboc::Channel& Rmboc::create_channel(int src_slot, int dst_slot,
   nc.lanes_requested = std::max(1, std::min(lanes, config_.buses));
   nc.msg_at_slot = src_slot;
   nc.msg_timer = 1;
-  nc.last_activity = sim::Component::kernel().now();
-  trace_.log(core::CommArchitecture::name(),
-             "REQUEST " + std::to_string(src) + "->" + std::to_string(dst) +
-                 " (channel " + std::to_string(nc.id) + ", " +
-                 std::to_string(nc.lanes_requested) + " lanes)");
+  nc.last_activity = kernel().now();
+  if (trace_.enabled())
+    trace_.log(name(), "REQUEST " + std::to_string(src) + "->" +
+                           std::to_string(dst) + " (channel " +
+                           std::to_string(nc.id) + ", " +
+                           std::to_string(nc.lanes_requested) + " lanes)");
   const std::uint32_t id = nc.id;
   channels_.emplace(id, std::move(nc));
   stats().counter("channel_requests").add();
@@ -541,15 +529,6 @@ std::size_t Rmboc::in_flight_packets(fpga::ModuleId involving) const {
   return n;
 }
 
-std::size_t Rmboc::delivered_backlog() const {
-  std::size_t n = 0;
-  for (const auto& [id, q] : delivered_) {
-    (void)id;
-    n += q.size();
-  }
-  return n;
-}
-
 int Rmboc::channel_lanes(fpga::ModuleId src, fpga::ModuleId dst) const {
   auto s = slot_of(src);
   auto d = slot_of(dst);
@@ -557,14 +536,6 @@ int Rmboc::channel_lanes(fpga::ModuleId src, fpga::ModuleId dst) const {
   const Channel* c = find_channel(*s, *d);
   if (!c || c->state != ChannelState::kEstablished) return 0;
   return effective_lanes(*c);
-}
-
-std::optional<proto::Packet> Rmboc::do_receive(fpga::ModuleId at) {
-  auto it = delivered_.find(at);
-  if (it == delivered_.end() || it->second.empty()) return std::nullopt;
-  proto::Packet p = it->second.front();
-  it->second.pop_front();
-  return p;
 }
 
 void Rmboc::advance_request(Channel& c) {
@@ -579,7 +550,8 @@ void Rmboc::advance_request(Channel& c) {
     c.state = ChannelState::kReplying;
     c.msg_at_slot = c.dst_slot;
     c.msg_timer = 1;
-    trace_.log(core::CommArchitecture::name(), "REPLY channel " + std::to_string(c.id));
+    if (trace_.enabled())
+      trace_.log(name(), "REPLY channel " + std::to_string(c.id));
     return;
   }
   // Reserve lanes in the segment towards the destination: as many free
@@ -591,8 +563,9 @@ void Rmboc::advance_request(Channel& c) {
     c.state = ChannelState::kCancelling;
     c.msg_timer = 2 * static_cast<sim::Cycle>(c.bus_per_segment.size() + 1);
     stats().counter("requests_blocked").add();
-    trace_.log(core::CommArchitecture::name(), "CANCEL channel " + std::to_string(c.id) +
-                           " (segment " + std::to_string(seg) + " full)");
+    if (trace_.enabled())
+      trace_.log(name(), "CANCEL channel " + std::to_string(c.id) +
+                             " (segment " + std::to_string(seg) + " full)");
     return;
   }
   for (int bus : lanes)
@@ -632,7 +605,7 @@ void Rmboc::advance_destroy(Channel& c) {
 }
 
 void Rmboc::pump_data(Channel& c) {
-  const sim::Cycle now = sim::Component::kernel().now();
+  const sim::Cycle now = kernel().now();
   if (c.burst_until != sim::kNeverCycle) {
     // Bulk transfer in flight: the delivery cycle was computed when the
     // burst started; nothing happens until it lands.
@@ -640,7 +613,7 @@ void Rmboc::pump_data(Channel& c) {
     c.burst_until = sim::kNeverCycle;
     c.words_remaining = 0;
     c.last_activity = now;
-    delivered_[c.dst_module].push_back(c.queue.front());
+    if (!deliver(c.queue.front())) stats().counter("dropped_detach").add();
     c.queue.pop_front();
     return;
   }
@@ -662,7 +635,7 @@ void Rmboc::pump_data(Channel& c) {
   // One word per lane per cycle over the reserved wires.
   const std::uint32_t lanes =
       static_cast<std::uint32_t>(std::max(1, effective_lanes(c)));
-  if (sim::Component::kernel().busy_path_tuning().burst_transfers &&
+  if (kernel().busy_path_tuning().burst_transfers &&
       c.words_remaining > lanes) {
     // The reserved lanes cannot change under an intact circuit (lane and
     // cross-point faults replan, which restarts the packet), so the
@@ -675,7 +648,7 @@ void Rmboc::pump_data(Channel& c) {
   c.words_remaining -= std::min(c.words_remaining, lanes);
   c.last_activity = now;
   if (c.words_remaining == 0) {
-    delivered_[c.dst_module].push_back(c.queue.front());
+    if (!deliver(c.queue.front())) stats().counter("dropped_detach").add();
     c.queue.pop_front();
   }
 }
@@ -693,7 +666,9 @@ void Rmboc::commit() {
         } else if (c.msg_at_slot == c.src_slot) {
           c.state = ChannelState::kEstablished;
           stats().counter("channels_established").add();
-          trace_.log(core::CommArchitecture::name(), "ESTABLISHED channel " + std::to_string(c.id));
+          if (trace_.enabled())
+            trace_.log(name(),
+                       "ESTABLISHED channel " + std::to_string(c.id));
         } else {
           c.msg_at_slot -= direction(c);
           c.msg_timer = 1;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/comm_arch.hpp"
-#include "sim/component.hpp"
 #include "sim/trace.hpp"
 
 namespace recosim::rmboc {
@@ -45,7 +44,7 @@ struct RmbocConfig {
 /// establish — 8 cycles minimum for adjacent slots, matching the paper's
 /// "minimum of 8 clock cycles" for the 4-module system. Established
 /// channels move one word per cycle end-to-end with path latency l_p = 1.
-class Rmboc final : public core::CommArchitecture, public sim::Component {
+class Rmboc final : public core::CommArchitecture {
  public:
   Rmboc(sim::Kernel& kernel, const RmbocConfig& config);
 
@@ -54,8 +53,6 @@ class Rmboc final : public core::CommArchitecture, public sim::Component {
   // CommArchitecture ---------------------------------------------------------
   bool attach(fpga::ModuleId id, const fpga::HardwareModule& m) override;
   bool detach(fpga::ModuleId id) override;
-  bool is_attached(fpga::ModuleId id) const override;
-  std::size_t attached_count() const override;
   core::DesignParameters design_parameters() const override;
   core::StructuralScores structural_scores() const override;
   unsigned link_width_bits() const override {
@@ -74,7 +71,6 @@ class Rmboc final : public core::CommArchitecture, public sim::Component {
   /// transactions. `involving` filters by endpoint module.
   std::size_t in_flight_packets(
       fpga::ModuleId involving = fpga::kInvalidModule) const override;
-  std::size_t delivered_backlog() const override;
 
   /// Hard-fail the cross-point of `slot`. On a 1-D segmented bus there is
   /// no way around a dead cross-point, so every circuit touching or
@@ -148,7 +144,6 @@ class Rmboc final : public core::CommArchitecture, public sim::Component {
 
  protected:
   bool do_send(const proto::Packet& p) override;
-  std::optional<proto::Packet> do_receive(fpga::ModuleId at) override;
 
  private:
   enum class ChannelState {
@@ -231,8 +226,6 @@ class Rmboc final : public core::CommArchitecture, public sim::Component {
 
   /// Senders backing off after a blocked request: slot -> retry cycle.
   std::map<std::pair<int, int>, sim::Cycle> backoff_until_;
-
-  std::map<fpga::ModuleId, std::deque<proto::Packet>> delivered_;
 };
 
 }  // namespace recosim::rmboc

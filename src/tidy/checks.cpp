@@ -201,6 +201,8 @@ void check_rcd003(const FileModel& f, std::vector<Finding>& out) {
 }
 
 // ---- RCD004: Component subclass without activity protocol -----------------
+// A class is a component when it names Component or CommArchitecture (the
+// network base, itself a Component) as a direct base.
 
 bool bases_have(const ClassDef& c, const char* base) {
   // bases is space-joined tokens, so exact-token match avoids substrings.
@@ -240,7 +242,9 @@ void check_rcd004(const CodeModel& model,
   for (std::size_t fi = 0; fi < model.files.size(); ++fi) {
     const FileModel& f = model.files[fi];
     for (const ClassDef& c : f.classes) {
-      if (!bases_have(c, "Component")) continue;
+      if (!bases_have(c, "Component") &&
+          !bases_have(c, "CommArchitecture"))
+        continue;
       bool has_eval = false;
       for (const std::string& m : c.declared_methods)
         if (m == "eval") has_eval = true;

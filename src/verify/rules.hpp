@@ -209,9 +209,9 @@ inline constexpr RuleInfo kRules[] = {
      "without a CallbackAnchor wrap; it dangles if its owner dies before "
      "the event fires"},
     {"RCD004", "activity-protocol-missing", Severity::kWarning, "-",
-     "a sim::Component subclass overrides eval() but never engages the "
-     "activity protocol (set_active / is_quiescent / set_ff_pollable), "
-     "blocking idle fast-forward"},
+     "a sim::Component (or CommArchitecture) subclass overrides eval() but "
+     "never engages the activity protocol (set_active / is_quiescent / "
+     "set_ff_pollable), blocking idle fast-forward"},
     {"RCD005", "pointer-keyed-ordering", Severity::kError, "-",
      "an ordered container or comparator keyed on raw pointer values; "
      "address order changes with the allocation layout, so derived "

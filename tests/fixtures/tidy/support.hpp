@@ -48,16 +48,10 @@ class Component {
   bool pollable_ = false;
 };
 
-class CommArchitecture {
- public:
-  virtual ~CommArchitecture() = default;
-
+class CommArchitecture : public Component {
  protected:
-  void wake_network() { ++wakes_; }
+  void wake_network() { set_active(true); }
   void debug_check_invariants() const {}
-
- private:
-  int wakes_ = 0;
 };
 
 }  // namespace tidy_fixture

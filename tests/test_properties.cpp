@@ -129,7 +129,8 @@ TEST_P(ArchProperties, DeterministicReplay) {
 
 // Property 4: interface sanity - sends to unknown endpoints are refused,
 // receive on unknown modules yields nothing, attached_count tracks
-// attach/detach.
+// attach/detach, and a detach drops exactly the packets still waiting in
+// the module's delivery queue.
 TEST_P(ArchProperties, EndpointValidation) {
   auto sys = build(GetParam().kind);
   proto::Packet p;
@@ -140,10 +141,33 @@ TEST_P(ArchProperties, EndpointValidation) {
   p.dst = 1;
   EXPECT_FALSE(sys.arch->send(p));
   EXPECT_FALSE(sys.arch->receive(4242).has_value());
+
+  // Let packets land at module 2 without receiving them.
+  p.src = 1;
+  p.dst = 2;
+  p.payload_bytes = 16;
+  ASSERT_TRUE(sys.arch->send(p));
+  ASSERT_TRUE(sys.arch->send(p));
+  ASSERT_TRUE(sys.kernel->run_until(
+      [&] { return sys.arch->in_flight_packets() == 0; }, 50'000));
+  const std::size_t k = sys.arch->delivered_backlog();
+  ASSERT_GE(k, 1u);
+  const auto dropped = sys.arch->stats().counter_value("dropped_detach");
+
   const auto before = sys.arch->attached_count();
   EXPECT_TRUE(sys.arch->detach(2));
   EXPECT_EQ(sys.arch->attached_count(), before - 1);
+  EXPECT_EQ(sys.arch->stats().counter_value("dropped_detach"), dropped + k);
+  EXPECT_EQ(sys.arch->delivered_backlog(), 0u);
+  EXPECT_FALSE(sys.arch->is_attached(2));
   EXPECT_FALSE(sys.arch->detach(2));
+
+  // A re-attached module starts with an empty delivery queue.
+  fpga::HardwareModule m;
+  m.name = "m2";
+  ASSERT_TRUE(sys.arch->attach(2, m));
+  EXPECT_TRUE(sys.arch->is_attached(2));
+  EXPECT_FALSE(sys.arch->receive(2).has_value());
 }
 
 // Property 5: the reported path latency is a lower bound on any measured

@@ -68,9 +68,10 @@ TEST(TidyFixtures, UnanchoredCallbackIsRCD003) {
 }
 
 TEST(TidyFixtures, MissingActivityProtocolIsRCD004) {
-  // The engaged twin (set_active in eval) must not be flagged.
+  // One seeded Component and one seeded CommArchitecture subclass; the
+  // engaged twins (set_active in eval, is_quiescent) must not be flagged.
   EXPECT_EQ(rules_for("rcd004_activity_protocol.cpp"),
-            (std::multiset<std::string>{"RCD004"}));
+            (std::multiset<std::string>{"RCD004", "RCD004"}));
 }
 
 TEST(TidyFixtures, PointerKeyedOrderingIsRCD005) {
