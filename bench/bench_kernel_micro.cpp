@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the simulation substrate: kernel
-// stepping cost, two-phase FIFO operations, idle-cycle fast-forward,
-// event-queue throughput, and full-architecture cycle cost under load.
+// stepping cost, idle-cycle fast-forward, event-queue throughput, and
+// full-architecture cycle cost under load.
 // These bound how long the table/figure benches take and document the
 // simulator's own performance envelope.
 //
@@ -26,7 +26,6 @@
 #include "fpga/module.hpp"
 #include "json/json.hpp"
 #include "trajectory.hpp"
-#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 
 using namespace recosim;
@@ -78,17 +77,6 @@ void BM_KernelStep(benchmark::State& state) {
                           static_cast<std::int64_t>(state.range(0)));
 }
 BENCHMARK(BM_KernelStep)->Arg(1)->Arg(16)->Arg(256);
-
-void BM_FifoPushPop(benchmark::State& state) {
-  sim::Kernel kernel;
-  sim::BoundedFifo<int> fifo(kernel, 64);
-  for (auto _ : state) {
-    if (fifo.can_push()) fifo.push(1);
-    if (fifo.can_pop()) benchmark::DoNotOptimize(fifo.pop());
-    kernel.step();
-  }
-}
-BENCHMARK(BM_FifoPushPop);
 
 void BM_EventSchedule(benchmark::State& state) {
   sim::Kernel kernel;
@@ -288,7 +276,7 @@ double measure_rate(std::uint64_t items_per_rep, Fn&& rep) {
 
 /// Busy-path headline: executed (non-skippable) cycles per second on a
 /// loaded 16x16 mesh. The gated rate is the committed perf target; the
-/// ungated rate is the same workload with the busy-path tuning off, so
+/// ungated rate is the same workload with the busy path off, so
 /// their ratio isolates the gating win.
 double mesh_busy_cycles_per_sec(bool busy_path) {
   BusyMesh mesh(busy_path);

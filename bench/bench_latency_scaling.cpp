@@ -59,7 +59,8 @@ DetourPoint run_detour_point(int size) {
     const fpga::Point at = size <= 2 ? fpga::Point{3, 2} : fpga::Point{2, 2};
     if (!d.attach_at(3, big, at)) return {};
   }
-  return {true, d.route_hops(1, 2).value(), d.path_latency(1, 2)};
+  return {true, static_cast<std::uint64_t>(d.route_hops(1, 2).value()),
+          d.path_latency(1, 2)};
 }
 
 std::vector<ArchResult> run_measured_point(int m) {

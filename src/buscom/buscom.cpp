@@ -442,8 +442,8 @@ bool Buscom::is_quiescent() const {
   // cycles_per_slot) are pure phase increments regardless of traffic, so
   // the kernel may jump to the cycle before the slot boundary.
   if (idle_quiescent()) return true;
-  return kernel().busy_path_tuning().burst_transfers &&
-         slot_cycle_ != 0 && slot_cycle_ + 1 < config_.cycles_per_slot;
+  return kernel().busy_path_enabled() && slot_cycle_ != 0 &&
+         slot_cycle_ + 1 < config_.cycles_per_slot;
 }
 
 sim::Cycle Buscom::quiescent_deadline() const {

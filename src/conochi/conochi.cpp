@@ -1,7 +1,6 @@
 #include "conochi/conochi.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <limits>
 #include <string>
@@ -14,23 +13,6 @@ namespace {
 std::string point_str(fpga::Point p) {
   return "(" + std::to_string(p.x) + "," + std::to_string(p.y) + ")";
 }
-
-/// Ascending scan over set bits, re-reading each word live so bits set at
-/// *higher* indices during the scan are visited this same pass (matching
-/// the full walk, where a forward push is seen by the later iteration) and
-/// bits set at indices already passed wait until the next cycle (the full
-/// walk had already moved past them).
-template <typename Fn>
-void scan_work_bits(const std::vector<std::uint64_t>& bits, Fn&& fn) {
-  for (std::size_t w = 0; w < bits.size(); ++w) {
-    std::uint64_t mask = ~std::uint64_t{0};
-    while (const std::uint64_t pending = bits[w] & mask) {
-      const int b = std::countr_zero(pending);
-      mask = b == 63 ? 0 : ~std::uint64_t{0} << (b + 1);
-      fn(static_cast<int>(w * 64) + b);
-    }
-  }
-}
 }  // namespace
 
 Conochi::Conochi(sim::Kernel& kernel, const ConochiConfig& config)
@@ -41,7 +23,7 @@ Conochi::Conochi(sim::Kernel& kernel, const ConochiConfig& config)
   assert(config.link_width_bits >= 1);
 }
 
-bool Conochi::network_empty() const { return work_count_ == 0; }
+bool Conochi::network_empty() const { return work_.empty(); }
 
 bool Conochi::switch_has_work(const Switch& s) const {
   if (!s.active) return false;
@@ -53,37 +35,13 @@ bool Conochi::switch_has_work(const Switch& s) const {
   return false;
 }
 
-void Conochi::mark_work(int i) {
-  const std::size_t w = static_cast<std::size_t>(i) / 64;
-  const std::uint64_t bit = std::uint64_t{1} << (static_cast<unsigned>(i) % 64);
-  if (!(work_bits_[w] & bit)) {
-    work_bits_[w] |= bit;
-    ++work_count_;
-  }
-}
-
-void Conochi::update_work_bit(int i) {
-  const std::size_t w = static_cast<std::size_t>(i) / 64;
-  const std::uint64_t bit = std::uint64_t{1} << (static_cast<unsigned>(i) % 64);
-  const bool want = switch_has_work(switches_[static_cast<std::size_t>(i)]);
-  const bool have = (work_bits_[w] & bit) != 0;
-  if (want && !have) {
-    work_bits_[w] |= bit;
-    ++work_count_;
-  } else if (!want && have) {
-    work_bits_[w] &= ~bit;
-    --work_count_;
-  }
-}
-
 void Conochi::rebuild_work_set() {
   // switches_ only grows (inactive slots are kept for id stability), so
   // resizing here — every structural mutation funnels through
-  // recompute_tables() — keeps the bitmap in step with add_switch().
-  work_bits_.assign((switches_.size() + 63) / 64, 0);
-  work_count_ = 0;
+  // recompute_tables() — keeps the set in step with add_switch().
+  work_.reset(switches_.size());
   for (const auto& s : switches_)
-    if (switch_has_work(s)) mark_work(s.id);
+    if (switch_has_work(s)) work_.mark(s.id);
 }
 
 Conochi::Switch* Conochi::switch_at(fpga::Point pos) {
@@ -478,7 +436,7 @@ void Conochi::recompute_tables() {
   wake_network();
 }
 
-bool Conochi::attach(fpga::ModuleId id, const fpga::HardwareModule& m) {
+bool Conochi::attach(fpga::ModuleId id, const fpga::HardwareModule& /*m*/) {
   // Fleet-wide parked-wire preference: exhaust genuinely line-free ports
   // on *every* switch before occupying any port whose wire run reaches
   // another switch. Doing the fallback per switch instead (as attach_at()
@@ -925,7 +883,7 @@ bool Conochi::do_send(const proto::Packet& p) {
         std::min(cap, p.payload_bytes - f * cap);
     inj.push_back(QueuedPacket{frag, rit->second, now + 1});
   }
-  mark_work(s.id);
+  work_.mark(s.id);
   return true;
 }
 
@@ -996,7 +954,7 @@ bool Conochi::try_forward(Switch& s, int in_port) {
   l.busy_until = now + config_.switch_delay +
                  total_flits(moved.packet);
   tq.push_back(std::move(moved));
-  mark_work(t.id);
+  work_.mark(t.id);
   stats().counter("hops").add();
   return true;
 }
@@ -1021,21 +979,21 @@ void Conochi::process_switch(Switch& s) {
 }
 
 void Conochi::commit() {
-  if (kernel().busy_path_tuning().router_gating) {
+  if (kernel().busy_path_enabled()) {
     // Visit only switches with queued packets or a staged table install;
     // the live ascending scan matches the full walk bit-identically (a
     // forward within one pass is seen by the target's later visit, a push
     // behind the cursor waits for the next cycle — exactly as the full
     // walk would have it).
-    scan_work_bits(work_bits_, [&](int i) {
+    work_.for_each([&](int i) {
       Switch& s = sw(i);
       if (s.active) process_switch(s);
-      update_work_bit(i);
+      work_.set(i, switch_has_work(s));
     });
   } else {
     for (auto& s : switches_) {
       if (s.active) process_switch(s);
-      if (s.id >= 0) update_work_bit(s.id);
+      if (s.id >= 0) work_.set(s.id, switch_has_work(s));
     }
   }
   // Sleep once every queue drains and every staged table is installed;

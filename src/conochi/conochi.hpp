@@ -15,6 +15,7 @@
 #include "proto/address.hpp"
 #include "sim/anchor.hpp"
 #include "sim/arena.hpp"
+#include "sim/work_set.hpp"
 
 namespace recosim::conochi {
 
@@ -225,14 +226,12 @@ class Conochi final : public core::CommArchitecture {
   void deliver_or_redirect(Switch& s, int in_port);
 
   // -- per-switch work set (busy-path gating, docs/performance.md) -----------
-  // Bit i set iff switch i has cycle work: a non-empty input queue or a
-  // staged table install (time-triggered work). Mirrors network_empty(),
-  // so work_count_ == 0 <=> the network may sleep. Sends and forwards mark
-  // bits, the commit walk clears drained switches, topology mutators and
+  // Switch i is in work_ iff it has cycle work: a non-empty input queue or
+  // a staged table install (time-triggered work). Mirrors network_empty(),
+  // so work_.empty() <=> the network may sleep. Sends and forwards mark
+  // switches, the commit walk drops drained ones, topology mutators and
   // recompute_tables() rebuild the set.
   bool switch_has_work(const Switch& s) const;
-  void mark_work(int i);
-  void update_work_bit(int i);
   void rebuild_work_set();
 
   /// Take the first acceptable free port of `s` for `id`; with
@@ -255,8 +254,7 @@ class Conochi final : public core::CommArchitecture {
   ConochiConfig config_;
   TileGrid grid_;
   std::vector<Switch> switches_;  // slot reuse: inactive entries stay
-  std::vector<std::uint64_t> work_bits_;
-  std::size_t work_count_ = 0;
+  sim::WorkSet work_;
   /// Switches taken down by fail_node() (distinguishes a faulted switch,
   /// whose S tile and attachments persist, from a removed one).
   std::set<int> failed_switches_;

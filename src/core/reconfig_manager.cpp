@@ -90,7 +90,8 @@ bool ReconfigManager::load(CommArchitecture& arch, fpga::ModuleId id,
     return false;
   auto region = place(id, m);
   if (!region) return false;
-  loading_.emplace(id, LoadJob{m, *region, 0, std::move(on_ready), &arch});
+  loading_.emplace(id, LoadJob{m, *region, 0, std::move(on_ready), &arch,
+                              std::nullopt});
   icap_.request(id, *region, [this](fpga::ModuleId done_id, bool ok) {
     on_icap_done(done_id, ok);
   });

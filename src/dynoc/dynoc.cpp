@@ -1,7 +1,6 @@
 #include "dynoc/dynoc.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <string>
 
@@ -21,20 +20,15 @@ Dynoc::Dynoc(sim::Kernel& kernel, const DynocConfig& config)
       config_(config),
       routers_(static_cast<std::size_t>(config.width) *
                static_cast<std::size_t>(config.height)),
-      work_bits_((routers_.size() + 63) / 64, 0),
       sxy_([this](fpga::Point p) { return router_active(p); },
            [this](fpga::Point p) { return obstacle_at(p); }) {
   assert(config.width >= 3 && config.height >= 3);
   assert(config.link_width_bits >= 1);
   assert(config.input_buffer_packets >= 1);
+  work_.reset(routers_.size());
 }
 
-bool Dynoc::network_empty() const {
-  // The work set mirrors exactly the old full-mesh scan: a bit is set iff
-  // a router has a non-empty input queue or a busy out-link (tail-only
-  // transfers included — they must still be advanced).
-  return work_count_ == 0;
-}
+bool Dynoc::network_empty() const { return work_.empty(); }
 
 bool Dynoc::router_has_work(const Router& r) const {
   for (const auto& port : r.in)
@@ -44,34 +38,11 @@ bool Dynoc::router_has_work(const Router& r) const {
   return false;
 }
 
-void Dynoc::mark_work(int i) {
-  std::uint64_t& w = work_bits_[static_cast<std::size_t>(i) >> 6];
-  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-  if (!(w & bit)) {
-    w |= bit;
-    ++work_count_;
-  }
-}
-
-void Dynoc::update_work_bit(int i) {
-  std::uint64_t& w = work_bits_[static_cast<std::size_t>(i) >> 6];
-  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-  const bool want = router_has_work(routers_[static_cast<std::size_t>(i)]);
-  if (want && !(w & bit)) {
-    w |= bit;
-    ++work_count_;
-  } else if (!want && (w & bit)) {
-    w &= ~bit;
-    --work_count_;
-  }
-}
-
 void Dynoc::rebuild_work_set() {
-  std::fill(work_bits_.begin(), work_bits_.end(), 0);
-  work_count_ = 0;
+  work_.reset(routers_.size());
   for (std::size_t i = 0; i < routers_.size(); ++i)
     if (routers_[i].active && router_has_work(routers_[i]))
-      mark_work(static_cast<int>(i));
+      work_.mark(static_cast<int>(i));
 }
 
 bool Dynoc::router_active(fpga::Point p) const {
@@ -530,7 +501,7 @@ bool Dynoc::do_send(const proto::Packet& p) {
   fp.dest = dit->second.access;
   fp.route_timer = config_.routing_delay;
   inj.push_back(std::move(fp));
-  mark_work(idx(sit->second.access));
+  work_.mark(idx(sit->second.access));
   return true;
 }
 
@@ -552,7 +523,7 @@ void Dynoc::advance_router_links(fpga::Point here, Router& router) {
           o.packet.route_timer = config_.routing_delay;
           o.packet.tail_arrival = kernel().now();
           target.in[inport].push_back(std::move(o.packet));
-          mark_work(idx(t));
+          work_.mark(idx(t));
         } else {
           stats().counter("packets_dropped_reconfig").add();
         }
@@ -625,7 +596,7 @@ void Dynoc::start_router_transfers(fpga::Point here, Router& router) {
         moved.route_timer = config_.routing_delay;
         moved.tail_arrival = kernel().now() + flits;
         target.in[inport].push_back(std::move(moved));
-        mark_work(idx(t));
+        work_.mark(idx(t));
         o.busy = true;
         o.carries_packet = false;
         o.flits_remaining = flits;
@@ -655,43 +626,25 @@ void Dynoc::start_transfers() {
     for (int x = 0; x < config_.width; ++x) {
       const fpga::Point here{x, y};
       start_router_transfers(here, at(here));
-      update_work_bit(idx(here));
+      work_.set(idx(here), router_has_work(at(here)));
     }
   }
 }
-
-namespace {
-/// Visit the set bits of a live bitmap in strictly ascending index order.
-/// Bits set *behind* the cursor during the walk are not revisited and bits
-/// set ahead of it are picked up — exactly the visibility a row-major walk
-/// of all routers gives mid-cycle wakes, which is what keeps the gated
-/// iteration bit-identical to the ungated one.
-template <typename Fn>
-void scan_work_bits(const std::vector<std::uint64_t>& bits, Fn&& fn) {
-  for (std::size_t w = 0; w < bits.size(); ++w) {
-    std::uint64_t mask = ~std::uint64_t{0};
-    while (const std::uint64_t pending = bits[w] & mask) {
-      const int b = std::countr_zero(pending);
-      mask = b == 63 ? 0 : ~std::uint64_t{0} << (b + 1);
-      fn(static_cast<int>(w * 64) + b);
-    }
-  }
-}
-}  // namespace
 
 void Dynoc::commit() {
-  if (kernel().busy_path_tuning().router_gating) {
+  if (kernel().busy_path_enabled()) {
     // Only routers with queued packets or busy links pay; everything else
-    // stays out of the cycle walk entirely.
+    // stays out of the cycle walk entirely. The work set's live ascending
+    // scan sees mid-walk wakes exactly as the row-major walk below does.
     const int w = config_.width;
-    scan_work_bits(work_bits_, [this, w](int i) {
+    work_.for_each([this, w](int i) {
       const fpga::Point p{i % w, i / w};
       advance_router_links(p, routers_[static_cast<std::size_t>(i)]);
     });
-    scan_work_bits(work_bits_, [this, w](int i) {
-      const fpga::Point p{i % w, i / w};
-      start_router_transfers(p, routers_[static_cast<std::size_t>(i)]);
-      update_work_bit(i);
+    work_.for_each([this, w](int i) {
+      Router& r = routers_[static_cast<std::size_t>(i)];
+      start_router_transfers({i % w, i / w}, r);
+      work_.set(i, router_has_work(r));
     });
   } else {
     advance_links();

@@ -13,6 +13,7 @@
 #include "dynoc/sxy_routing.hpp"
 #include "fpga/geometry.hpp"
 #include "sim/arena.hpp"
+#include "sim/work_set.hpp"
 
 namespace recosim::dynoc {
 
@@ -199,21 +200,18 @@ class Dynoc final : public core::CommArchitecture {
   void drop_traffic_towards(fpga::Point p, const char* counter);
 
   // -- per-router work set (busy-path gating, docs/performance.md) -----------
-  // Invariant: bit i is set iff router i has cycle work — a non-empty input
-  // queue or a busy outgoing link (exactly the old network_empty()
-  // criteria, so work_count_ == 0 <=> the network is empty). Sends and
-  // link arrivals mark bits; the commit walk clears a router's bit once it
-  // drains; topology mutators rebuild the set wholesale. Maintained in
-  // both gated and ungated modes — only the iteration strategy differs.
+  // Invariant: router i is in work_ iff it has cycle work — a non-empty
+  // input queue or a busy outgoing link (tail-only transfers included), so
+  // work_.empty() <=> the network is empty. Sends and link arrivals mark
+  // routers; the commit walk drops a router once it drains; topology
+  // mutators rebuild the set wholesale. Maintained in both gated and
+  // ungated modes — only the iteration strategy differs.
   bool router_has_work(const Router& r) const;
-  void mark_work(int i);
-  void update_work_bit(int i);
   void rebuild_work_set();
 
   DynocConfig config_;
   std::vector<Router> routers_;
-  std::vector<std::uint64_t> work_bits_;
-  std::size_t work_count_ = 0;
+  sim::WorkSet work_;
   std::set<int> failed_;  // router indices taken down by fail_node()
   std::map<fpga::ModuleId, Placement> placements_;
   SxyRouter sxy_;

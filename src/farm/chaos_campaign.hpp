@@ -24,9 +24,10 @@ struct ChaosCampaignOptions {
   int ops = 8;
   sim::Cycle horizon = 30'000;
   bool activity_driven = true;
-  /// Busy-path tuning (docs/performance.md). Deliberately excluded from
+  /// Busy path (router gating and burst transfers; arena pooling is always
+  /// on — docs/performance.md). Deliberately excluded from
   /// chaos_scenario(): results are bit-identical either way, so journal
-  /// records stay byte-compatible between tuned and untuned campaigns.
+  /// records stay byte-compatible between campaigns with it on and off.
   bool busy_path = true;
   bool lint_first = false;
   bool recovery = false;

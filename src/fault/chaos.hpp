@@ -70,9 +70,10 @@ struct ChaosRunOptions {
   /// Kernel quiescence tracking + idle-cycle fast-forward (bit-identical
   /// either way).
   bool activity_driven = true;
-  /// Busy-path tuning (router gating, burst transfers, arena pooling;
-  /// docs/performance.md) — also bit-identical either way, only wall-clock
-  /// differs. `--no-busy-path` / the A/B property tests flip it off.
+  /// Busy path (router gating and burst transfers; see
+  /// Kernel::set_busy_path_enabled() and docs/performance.md) — also
+  /// bit-identical either way, only wall-clock differs. `--no-busy-path` /
+  /// the A/B property tests flip it off. Arena pooling is always on.
   bool busy_path = true;
   /// Run the self-healing layer (health::FailureDetector +
   /// health::RecoveryOrchestrator) alongside the schedule and enforce the

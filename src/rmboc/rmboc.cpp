@@ -29,10 +29,9 @@ Rmboc::Rmboc(sim::Kernel& kernel, const RmbocConfig& config)
 }
 
 bool Rmboc::is_quiescent() const {
-  // With burst transfers off this reduces to the legacy condition: any
-  // channel at all keeps the bus stepping cycle by cycle.
-  if (!kernel().busy_path_tuning().burst_transfers)
-    return channels_.empty();
+  // With the busy path (burst transfers) off this reduces to the legacy
+  // condition: any channel at all keeps the bus stepping cycle by cycle.
+  if (!kernel().busy_path_enabled()) return channels_.empty();
   const sim::Cycle now = kernel().now();
   for (const auto& [id, c] : channels_) {
     (void)id;
@@ -635,8 +634,7 @@ void Rmboc::pump_data(Channel& c) {
   // One word per lane per cycle over the reserved wires.
   const std::uint32_t lanes =
       static_cast<std::uint32_t>(std::max(1, effective_lanes(c)));
-  if (kernel().busy_path_tuning().burst_transfers &&
-      c.words_remaining > lanes) {
+  if (kernel().busy_path_enabled() && c.words_remaining > lanes) {
     // The reserved lanes cannot change under an intact circuit (lane and
     // cross-point faults replan, which restarts the packet), so the
     // per-cycle loop is fully determined: it would deliver at

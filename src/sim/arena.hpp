@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <new>
 
@@ -19,23 +18,10 @@ namespace recosim::sim {
 /// anything that deallocates through the arena must die before its thread
 /// does — true for every kernel-scoped object in this codebase.
 ///
-/// The pool can be disabled at runtime (the `arena_pooling` busy-path A/B
-/// switch, Kernel::set_busy_path_tuning()). Correctness is independent of
-/// when the switch flips: every block is an individually operator-new'd
-/// allocation of its rounded size-class size, so a block allocated while
-/// pooling was on can be plain-deleted after it is turned off and vice
-/// versa. Allocation addresses never feed back into simulation results, so
-/// results are bit-identical with the pool on or off.
+/// Pooling is always on: it pays end to end (docs/performance.md), and
+/// allocation addresses never feed back into simulation results.
 class Arena {
  public:
-  struct Stats {
-    std::uint64_t pool_hits = 0;     ///< allocations served from a freelist
-    std::uint64_t pool_misses = 0;   ///< pooled allocations that hit the heap
-    std::uint64_t pool_returns = 0;  ///< frees cached on a freelist
-    std::uint64_t passthrough = 0;   ///< requests outside pooling (disabled
-                                     ///< or above the size-class ceiling)
-  };
-
   Arena() = default;
   ~Arena() { release(); }
 
@@ -45,45 +31,26 @@ class Arena {
   /// The calling thread's pool.
   static Arena& thread_arena();
 
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   void* allocate(std::size_t bytes) {
     const int cls = size_class(bytes);
-    if (cls < 0 || !enabled_) {
-      ++stats_.passthrough;
-      return ::operator new(padded_size(bytes, cls));
-    }
+    if (cls < 0) return ::operator new(bytes);
     if (FreeNode* n = free_[static_cast<std::size_t>(cls)]) {
       free_[static_cast<std::size_t>(cls)] = n->next;
-      --cached_[static_cast<std::size_t>(cls)];
-      ++stats_.pool_hits;
       return n;
     }
-    ++stats_.pool_misses;
     return ::operator new(std::size_t{1} << (kMinShift + cls));
   }
 
   void deallocate(void* p, std::size_t bytes) noexcept {
     if (p == nullptr) return;
     const int cls = size_class(bytes);
-    if (cls < 0 || !enabled_) {
+    if (cls < 0) {
       ::operator delete(p);
       return;
     }
     auto* n = static_cast<FreeNode*>(p);
     n->next = free_[static_cast<std::size_t>(cls)];
     free_[static_cast<std::size_t>(cls)] = n;
-    ++cached_[static_cast<std::size_t>(cls)];
-    ++stats_.pool_returns;
-  }
-
-  const Stats& stats() const { return stats_; }
-
-  std::size_t cached_blocks() const {
-    std::size_t n = 0;
-    for (std::size_t c : cached_) n += c;
-    return n;
   }
 
   /// Return every cached block to the heap (freelists stay usable).
@@ -96,7 +63,6 @@ class Arena {
         n = next;
       }
       free_[c] = nullptr;
-      cached_[c] = 0;
     }
   }
 
@@ -118,16 +84,7 @@ class Arena {
     return cls;
   }
 
-  /// Pooled requests are rounded up to their class size even when the pool
-  /// is disabled, so a block's size never depends on the switch position.
-  static std::size_t padded_size(std::size_t bytes, int cls) {
-    return cls < 0 ? bytes : std::size_t{1} << (kMinShift + cls);
-  }
-
   FreeNode* free_[kClasses] = {};
-  std::size_t cached_[kClasses] = {};
-  bool enabled_ = true;
-  Stats stats_{};
 };
 
 /// Stateless std allocator routing through the thread's Arena; drop-in for

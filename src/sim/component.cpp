@@ -25,10 +25,4 @@ void Component::set_ff_pollable(bool p) {
   if (active_) kernel_.on_component_pollable_flip(p);
 }
 
-Latch::Latch(Kernel& kernel) : kernel_(kernel) {
-  kernel_.register_latch(this);
-}
-
-Latch::~Latch() { kernel_.deregister_latch(this); }
-
 }  // namespace recosim::sim

@@ -44,8 +44,7 @@ class Component {
   /// Combinational phase: read current state, stage next state.
   virtual void eval() = 0;
 
-  /// Clock edge: latch staged state. Default does nothing (components whose
-  /// state lives entirely in two-phase primitives need no explicit commit).
+  /// Clock edge: latch staged state. Default does nothing.
   virtual void commit() {}
 
   // -- activity / quiescence -------------------------------------------------
@@ -86,38 +85,6 @@ class Component {
   std::string name_;
   bool active_ = true;
   bool ff_pollable_ = false;
-  std::size_t kernel_index_ = 0;
-};
-
-/// A two-phase state primitive (signal, fifo, ...) latched by the kernel
-/// after all components have committed. Primitives report staged changes
-/// via mark_dirty(); the kernel latches only dirty primitives, which also
-/// tells it when a clock edge would be a global no-op.
-class Latch {
- public:
-  explicit Latch(Kernel& kernel);
-  virtual ~Latch();
-
-  Latch(const Latch&) = delete;
-  Latch& operator=(const Latch&) = delete;
-
-  virtual void latch() = 0;
-
-  Kernel& kernel() const { return kernel_; }
-
- protected:
-  /// Called by derived primitives whenever state is staged this cycle.
-  void mark_dirty() {
-    if (!dirty_) {
-      dirty_ = true;
-      kernel_.mark_latch_dirty(this);
-    }
-  }
-
- private:
-  friend class Kernel;
-  Kernel& kernel_;
-  bool dirty_ = false;
   std::size_t kernel_index_ = 0;
 };
 

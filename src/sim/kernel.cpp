@@ -2,22 +2,10 @@
 
 #include <algorithm>
 
-#include "sim/arena.hpp"
+#include "sim/check.hpp"
 #include "sim/component.hpp"
 
 namespace recosim::sim {
-
-Kernel::Kernel() {
-  // Arena pooling is a thread-wide switch; align it with this kernel's
-  // (default-on) tuning so components constructed before any explicit
-  // set_busy_path_tuning() call already pool their allocations.
-  Arena::thread_arena().set_enabled(busy_path_.arena_pooling);
-}
-
-void Kernel::set_busy_path_tuning(const BusyPathTuning& t) {
-  busy_path_ = t;
-  Arena::thread_arena().set_enabled(t.arena_pooling);
-}
 
 void Kernel::run(Cycle n) {
   const Cycle end = now_ + n;
@@ -47,13 +35,12 @@ void Kernel::schedule_in(Cycle delay, SmallFn fn) {
 void Kernel::advance_once(Cycle end) {
   maybe_compact();
   // Whether any event fires *this* cycle. Firing an event is activity (it
-  // may wake components or stage latch writes), so the cycle must execute
-  // normally — also keeping run_until() end cycles identical with and
-  // without fast-forward.
+  // may wake components), so the cycle must execute normally — also
+  // keeping run_until() end cycles identical with and without
+  // fast-forward.
   const bool events_due = events_.next_cycle() <= now_;
   events_.fire_due(now_);
-  if (activity_driven_ && !events_due && hard_active_count_ == 0 &&
-      dirty_latches_.empty()) {
+  if (activity_driven_ && !events_due && hard_active_count_ == 0) {
     const Cycle target = fast_forward_target(end);
     if (target > now_) {
       for (std::size_t i = 0; i < components_.size(); ++i) {
@@ -86,12 +73,8 @@ void Kernel::run_cycle() {
     Component* c = components_[i];
     if (c == nullptr) continue;
     if (activity_driven_ && !c->active_) {
-#if RECOSIM_CHECKS_ENABLED
-      if (paranoid_idle_checks_) {
-        RECOSIM_CHECK("SIM003", c->is_quiescent(),
-                      "inactive component reports non-quiescent state");
-      }
-#endif
+      RECOSIM_CHECK("SIM003", c->is_quiescent(),
+                    "inactive component reports non-quiescent state");
       continue;
     }
     c->eval();
@@ -101,25 +84,6 @@ void Kernel::run_cycle() {
     if (c == nullptr || (activity_driven_ && !c->active_)) continue;
     c->commit();
   }
-  if (activity_driven_) {
-    // Latch only primitives that staged something this cycle; entries may
-    // be nulled by mid-cycle latch destruction.
-    for (std::size_t i = 0; i < dirty_latches_.size(); ++i) {
-      Latch* l = dirty_latches_[i];
-      if (l == nullptr) continue;
-      l->latch();
-      l->dirty_ = false;
-    }
-  } else {
-    for (std::size_t i = 0; i < latches_.size(); ++i) {
-      Latch* l = latches_[i];
-      if (l != nullptr) l->latch();
-    }
-    for (Latch* l : dirty_latches_) {
-      if (l != nullptr) l->dirty_ = false;
-    }
-  }
-  dirty_latches_.clear();
   ++now_;
 }
 
@@ -137,21 +101,6 @@ void Kernel::deregister_component(Component* c) {
   if (c->active_) {
     --active_count_;
     if (!c->ff_pollable_) --hard_active_count_;
-  }
-}
-
-void Kernel::register_latch(Latch* l) {
-  l->kernel_index_ = latches_.size();
-  latches_.push_back(l);
-}
-
-void Kernel::deregister_latch(Latch* l) {
-  latches_[l->kernel_index_] = nullptr;
-  ++latch_tombstones_;
-  if (l->dirty_) {
-    for (Latch*& d : dirty_latches_) {
-      if (d == l) d = nullptr;
-    }
   }
 }
 
@@ -185,16 +134,6 @@ void Kernel::maybe_compact() {
     }
     components_.resize(w);
     component_tombstones_ = 0;
-  }
-  if (latch_tombstones_ > 64 && latch_tombstones_ * 2 > latches_.size()) {
-    std::size_t w = 0;
-    for (Latch* l : latches_) {
-      if (l == nullptr) continue;
-      l->kernel_index_ = w;
-      latches_[w++] = l;
-    }
-    latches_.resize(w);
-    latch_tombstones_ = 0;
   }
 }
 

@@ -108,9 +108,9 @@ inline constexpr RuleInfo kRules[] = {
     {"SIM001", "event-time-regression", Severity::kError, "-",
      "an event was scheduled at, or the queue fired for, a cycle earlier "
      "than one already executed"},
-    {"SIM002", "fifo-bound-violation", Severity::kError, "-",
-     "a bounded FIFO was pushed beyond capacity or popped past its staged "
-     "content"},
+    {"SIM003", "false-quiescence", Severity::kError, "-",
+     "a component skipped by the activity-driven scheduler reported "
+     "is_quiescent() == false (it went or stayed asleep with work left)"},
 
     // Scenario / lint driver
     {"LNT001", "parse-error", Severity::kError, "-",

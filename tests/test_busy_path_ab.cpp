@@ -1,8 +1,8 @@
-// Busy-path tuning (router gating, burst transfers, arena pooling —
-// docs/performance.md) must be observationally invisible: every architecture
-// has to deliver the same packets in the same cycles with the tuning on
-// and off, under random traffic, mid-burst faults and live
-// reconfiguration. Two layers of checks:
+// The busy path (router gating and burst transfers, one kernel switch —
+// docs/performance.md; arena pooling is always on) must be observationally
+// invisible: every architecture has to deliver the same packets in the
+// same cycles with the switch on and off, under random traffic, mid-burst
+// faults and live reconfiguration. Two layers of checks:
 //
 //  * chaos digests: full ChaosResult fingerprints (every counter, the
 //    violation list, the recovery incident log) must be equal between

@@ -11,10 +11,8 @@
 #include "fpga/placer.hpp"
 #include "proto/packet.hpp"
 #include "rmboc/rmboc.hpp"
-#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
-#include "sim/signal.hpp"
 #include "sim/stats.hpp"
 
 namespace recosim {
@@ -47,39 +45,6 @@ TEST(EdgeSim, CounterReset) {
   c.add(7);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(EdgeSim, FifoClearDropsStagedAndStored) {
-  sim::Kernel k;
-  sim::BoundedFifo<int> f(k, 4);
-  f.push(1);
-  k.step();
-  f.push(2);   // staged
-  f.pop();     // staged pop
-  f.clear();
-  k.step();
-  EXPECT_TRUE(f.empty());
-  EXPECT_TRUE(f.can_push());
-}
-
-TEST(EdgeSim, SignalStagedReadModifyWrite) {
-  sim::Kernel k;
-  sim::Signal<int> s(k, 10);
-  s.staged() += 5;
-  EXPECT_EQ(s.read(), 10);
-  k.step();
-  EXPECT_EQ(s.read(), 15);
-}
-
-TEST(EdgeSim, LatchDeregistersOnDestruction) {
-  sim::Kernel k;
-  {
-    sim::Signal<int> s(k, 0);
-    s.write(1);
-    k.step();
-  }
-  k.step();  // must not touch the destroyed latch
-  EXPECT_EQ(k.now(), 2u);
 }
 
 TEST(EdgeSim, RngGeometricGapWithProbabilityOne) {

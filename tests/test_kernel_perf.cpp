@@ -1,7 +1,8 @@
-// Activity-driven kernel: quiescence tracking, idle-cycle fast-forward
-// and the calendar event queue. The headline property throughout is that
-// the optimizations are *observationally invisible*: every run must be
-// bit-identical to the cycle-by-cycle schedule it replaces.
+// Activity-driven kernel: quiescence tracking, idle-cycle fast-forward,
+// the calendar event queue and the router work set. The headline property
+// throughout is that the optimizations are *observationally invisible*:
+// every run must be bit-identical to the cycle-by-cycle schedule it
+// replaces.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,12 @@
 
 #include "core/comparison.hpp"
 #include "core/traffic.hpp"
+#include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
-#include "sim/signal.hpp"
+#include "sim/work_set.hpp"
 
 namespace recosim::sim {
 namespace {
@@ -121,16 +123,6 @@ TEST(FastForward, ActiveComponentBlocksJumping) {
   k.run(1'000);
   EXPECT_EQ(busy.evals, 1'000);
   EXPECT_EQ(k.fast_forwards(), 0u);
-}
-
-TEST(FastForward, StagedLatchBlocksJumpingUntilLatched) {
-  Kernel k;
-  Signal<int> s(k, 0);
-  s.write(7);  // dirty latch: the edge at the end of cycle 0 must happen
-  k.run(1'000);
-  EXPECT_EQ(s.read(), 7);
-  // After the latch the kernel is free to jump the rest.
-  EXPECT_GE(k.fast_forwarded_cycles(), 990u);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,6 +287,76 @@ TEST(Kernel, InterleavedRegisterDeregisterKeepsCountsConsistent) {
 }
 
 // ---------------------------------------------------------------------------
+// WorkSet: the router/switch work set behind DyNoC and CoNoChi gating
+// ---------------------------------------------------------------------------
+
+std::vector<int> members(const WorkSet& w) {
+  std::vector<int> out;
+  w.for_each([&](int i) { out.push_back(i); });
+  return out;
+}
+
+TEST(WorkSet, MarkTwiceCountsOnceAndClearingAnUnsetBitIsANoop) {
+  WorkSet w;
+  w.reset(10);
+  w.mark(3);
+  w.mark(3);
+  w.set(3, false);  // one clear undoes both marks
+  EXPECT_TRUE(w.empty());
+  w.set(5, false);  // never set: nothing to undo
+  EXPECT_TRUE(w.empty());
+  w.mark(5);
+  w.set(7, false);
+  EXPECT_FALSE(w.empty());
+  EXPECT_EQ(members(w), (std::vector<int>{5}));
+}
+
+TEST(WorkSet, EmptyFollowsMarkSetAndReset) {
+  WorkSet w;
+  w.reset(64);
+  EXPECT_TRUE(w.empty());
+  w.mark(0);
+  EXPECT_FALSE(w.empty());
+  w.set(63, true);
+  w.set(0, false);
+  EXPECT_FALSE(w.empty());
+  w.set(63, false);
+  EXPECT_TRUE(w.empty());
+  w.mark(10);
+  w.reset(64);
+  EXPECT_TRUE(w.empty());
+  EXPECT_TRUE(members(w).empty());
+}
+
+TEST(WorkSet, ResetSpansEveryWordAndVisitsInAscendingOrder) {
+  WorkSet w;
+  w.reset(130);  // three 64-bit words, the last one partly used
+  for (int i : {129, 64, 0, 127, 63, 65, 128}) w.mark(i);
+  EXPECT_EQ(members(w), (std::vector<int>{0, 63, 64, 65, 127, 128, 129}));
+}
+
+TEST(WorkSet, MarksDuringForEachAreSeenAheadOfTheCursorOnly) {
+  WorkSet w;
+  w.reset(200);
+  w.mark(10);
+  w.mark(100);
+  std::vector<int> visited;
+  w.for_each([&](int i) {
+    visited.push_back(i);
+    if (i == 10) {
+      w.mark(12);   // same word, ahead: visited this pass
+      w.mark(150);  // later word, ahead: visited this pass
+    }
+    if (i == 100) {
+      w.mark(5);   // earlier word, behind: waits for the next pass
+      w.mark(99);  // same word, behind: waits for the next pass
+    }
+  });
+  EXPECT_EQ(visited, (std::vector<int>{10, 12, 100, 150}));
+  EXPECT_EQ(members(w), (std::vector<int>{5, 10, 12, 99, 100, 150}));
+}
+
+// ---------------------------------------------------------------------------
 // SIM003: a component that lies about quiescence is caught
 // ---------------------------------------------------------------------------
 
@@ -316,7 +378,6 @@ class Liar final : public Component {
 
 TEST(Kernel, ParanoidCheckCatchesFalselyIdleComponent) {
   Kernel k;
-  ASSERT_TRUE(k.paranoid_idle_checks());
   Liar liar(k, "liar");
   Ticker keep_alive(k, 1);  // forces per-cycle execution so skips happen
   k.step();                 // liar runs, then deactivates

@@ -3,10 +3,8 @@
 #include "sim/clock.hpp"
 #include "sim/component.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
-#include "sim/signal.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
@@ -114,74 +112,6 @@ TEST(EventQueue, NextCycleReportsEarliest) {
   q.push(9, [] {});
   q.push(3, [] {});
   EXPECT_EQ(q.next_cycle(), 3u);
-}
-
-TEST(Signal, ReadReturnsValueBeforeWriteUntilLatched) {
-  Kernel k;
-  Signal<int> s(k, 1);
-  s.write(2);
-  EXPECT_EQ(s.read(), 1);
-  k.step();
-  EXPECT_EQ(s.read(), 2);
-}
-
-TEST(Signal, LastWriteWins) {
-  Kernel k;
-  Signal<int> s(k, 0);
-  s.write(5);
-  s.write(9);
-  k.step();
-  EXPECT_EQ(s.read(), 9);
-}
-
-TEST(Fifo, PushVisibleAfterLatch) {
-  Kernel k;
-  BoundedFifo<int> f(k, 2);
-  ASSERT_TRUE(f.can_push());
-  f.push(7);
-  EXPECT_TRUE(f.empty());
-  k.step();
-  ASSERT_TRUE(f.can_pop());
-  EXPECT_EQ(f.front(), 7);
-}
-
-TEST(Fifo, CapacityEnforcedAgainstStagedPushes) {
-  Kernel k;
-  BoundedFifo<int> f(k, 2);
-  f.push(1);
-  f.push(2);
-  EXPECT_FALSE(f.can_push());
-  k.step();
-  EXPECT_FALSE(f.can_push());  // full after latch as well
-}
-
-TEST(Fifo, PopFreesSpaceOnlyNextCycle) {
-  Kernel k;
-  BoundedFifo<int> f(k, 1);
-  f.push(1);
-  k.step();
-  EXPECT_FALSE(f.can_push());
-  EXPECT_EQ(f.pop(), 1);
-  // Hardware semantics: freed slot usable only after the edge.
-  EXPECT_FALSE(f.can_push());
-  k.step();
-  EXPECT_TRUE(f.can_push());
-  EXPECT_TRUE(f.empty());
-}
-
-TEST(Fifo, MultiplePopsStageInOrder) {
-  Kernel k;
-  BoundedFifo<int> f(k, 4);
-  f.push(1);
-  f.push(2);
-  f.push(3);
-  k.step();
-  EXPECT_EQ(f.pop(), 1);
-  EXPECT_EQ(f.front(), 2);
-  EXPECT_EQ(f.pop(), 2);
-  k.step();
-  EXPECT_EQ(f.size(), 1u);
-  EXPECT_EQ(f.front(), 3);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -446,7 +446,7 @@ TEST(RuleRegistry, EveryEmittedRuleIsRegistered) {
         "RMB001", "RMB002", "RMB003", "RMB004", "RMB005", "RMB006",
         "DYN001", "DYN002", "DYN003", "DYN004", "DYN005", "CON001",
         "CON002", "CON003", "CON004", "CON005", "CON006", "FLP001",
-        "FLP002", "FLP003", "FLP004", "SIM001", "SIM002", "LNT001",
+        "FLP002", "FLP003", "FLP004", "SIM001", "SIM003", "LNT001",
         "LNT002", "FLT001", "FLT002", "FLT003", "FLT004"})
     EXPECT_NE(find_rule(id), nullptr) << id;
   EXPECT_EQ(find_rule("XXX999"), nullptr);
