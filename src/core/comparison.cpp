@@ -8,10 +8,10 @@
 namespace recosim::core {
 
 namespace {
-fpga::HardwareModule unit_module(const std::string& name,
-                                 unsigned width_bits) {
+/// Unit module "m<index>" with a `width_bits`-wide port.
+fpga::HardwareModule unit_module(int index, unsigned width_bits) {
   fpga::HardwareModule m;
-  m.name = name;
+  m.name = std::string("m").append(std::to_string(index));
   m.width_clbs = 1;
   m.height_clbs = 1;
   m.port_width_bits = width_bits;
@@ -31,7 +31,7 @@ MinimalSystem make_minimal_rmboc(int modules, int buses,
   for (int i = 1; i <= modules; ++i) {
     const auto id = static_cast<fpga::ModuleId>(i);
     [[maybe_unused]] bool ok =
-        arch->attach(id, unit_module("m" + std::to_string(i), width_bits));
+        arch->attach(id, unit_module(i, width_bits));
     assert(ok);
     s.modules.push_back(id);
   }
@@ -52,7 +52,7 @@ MinimalSystem make_minimal_buscom(int modules, int buses, unsigned in_bits,
   for (int i = 1; i <= modules; ++i) {
     const auto id = static_cast<fpga::ModuleId>(i);
     [[maybe_unused]] bool ok =
-        arch->attach(id, unit_module("m" + std::to_string(i), in_bits));
+        arch->attach(id, unit_module(i, in_bits));
     assert(ok);
     s.modules.push_back(id);
   }
@@ -72,7 +72,7 @@ MinimalSystem make_minimal_dynoc(int modules, int array,
   for (int i = 1; i <= modules; ++i) {
     const auto id = static_cast<fpga::ModuleId>(i);
     [[maybe_unused]] bool ok =
-        arch->attach(id, unit_module("m" + std::to_string(i), width_bits));
+        arch->attach(id, unit_module(i, width_bits));
     assert(ok);
     s.modules.push_back(id);
   }
@@ -103,7 +103,7 @@ MinimalSystem make_minimal_conochi(int modules, unsigned width_bits) {
   for (int i = 1; i <= modules; ++i) {
     const auto id = static_cast<fpga::ModuleId>(i);
     [[maybe_unused]] bool ok = arch->attach_at(
-        id, unit_module("m" + std::to_string(i), width_bits),
+        id, unit_module(i, width_bits),
         {1 + 3 * (i - 1), 1});
     assert(ok);
     s.modules.push_back(id);
@@ -122,7 +122,7 @@ MinimalSystem make_minimal_hierbus(int modules, unsigned width_bits) {
   for (int i = 1; i <= modules; ++i) {
     const auto id = static_cast<fpga::ModuleId>(i);
     [[maybe_unused]] bool ok =
-        arch->attach(id, unit_module("m" + std::to_string(i), width_bits));
+        arch->attach(id, unit_module(i, width_bits));
     assert(ok);
     s.modules.push_back(id);
   }

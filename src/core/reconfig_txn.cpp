@@ -168,11 +168,9 @@ void ReconfigTxn::begin() {
     if (auto desc = mgr_.resident_module(id))
       snapshot_.descriptors.emplace(id, *desc);
   }
-  if (cfg_.verify_on_completion) {
-    verify::DiagnosticSink baseline;
-    arch_.verify_invariants(baseline);
-    snapshot_.baseline_errors = baseline.error_count();
-  }
+  verify::DiagnosticSink baseline;
+  arch_.verify_invariants(baseline);
+  snapshot_.baseline_errors = baseline.error_count();
 
   // Modules the operation disturbs, which must be quiesced and drained.
   switch (request_.kind) {
@@ -289,14 +287,14 @@ void ReconfigTxn::try_commit() {
     rollback();
     return;
   }
-  if (cfg_.verify_on_completion && cfg_.rollback_on_verify_regression) {
-    verify::DiagnosticSink check;
-    arch_.verify_invariants(check);
-    if (check.error_count() > snapshot_.baseline_errors) {
-      failure_ = TxnFailure::kVerifyFailed;
-      rollback();
-      return;
-    }
+  // Roll back when the post-commit check reports more error-severity
+  // diagnostics than the pre-transaction baseline.
+  verify::DiagnosticSink check;
+  arch_.verify_invariants(check);
+  if (check.error_count() > snapshot_.baseline_errors) {
+    failure_ = TxnFailure::kVerifyFailed;
+    rollback();
+    return;
   }
   do_commit();
 }
@@ -382,9 +380,7 @@ void ReconfigTxn::resume_quiesced() {
 
 void ReconfigTxn::finish(TxnState terminal) {
   resume_quiesced();
-  if (cfg_.verify_on_completion) {
-    arch_.verify_invariants(completion_sink_);
-  }
+  arch_.verify_invariants(completion_sink_);
   state_ = terminal;
   finished_at_ = kernel().now();
   set_active(false);  // terminal: every future eval would be a no-op

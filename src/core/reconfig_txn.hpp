@@ -57,11 +57,6 @@ struct TxnConfig {
   /// timeout force-cancels the pending load and rolls back, so no
   /// transaction is ever stuck.
   sim::Cycle txn_timeout = 0;
-  /// Run verify_invariants() after commit and after rollback.
-  bool verify_on_completion = true;
-  /// Roll back when the post-commit check reports more error-severity
-  /// diagnostics than the pre-transaction baseline.
-  bool rollback_on_verify_regression = true;
   /// Observable-symptom hook for the health layer: invoked once when the
   /// drain phase escalates (watchdog stall trip or drain_timeout overrun)
   /// with the modules that were quiescing at the time. A stuck drain is a
@@ -150,7 +145,7 @@ class ReconfigTxn final : public sim::Component {
   }
 
   /// Diagnostics from the verify_invariants() pass run at completion
-  /// (empty when verify_on_completion is off or the txn is still live).
+  /// (empty while the txn is still live).
   const verify::DiagnosticSink& completion_diagnostics() const {
     return completion_sink_;
   }

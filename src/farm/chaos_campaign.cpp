@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "fault/reliable_channel.hpp"
 #include "verify/envelope.hpp"
 
 namespace recosim::farm {
@@ -33,12 +34,8 @@ sim::Cycle envelope_latency_bound(
     if (end > e.window_begin)
       outage += static_cast<sim::Cycle>(end - e.window_begin);
   }
-  const sim::Cycle max_timeout =
-      arch == fault::ChaosArch::kBuscom ? 65'536
-      : arch == fault::ChaosArch::kRmboc ? 16'384
-                                         : 8'192;
-  const sim::Cycle jitter = 16;
-  return outage + 8 * (max_timeout + jitter) + 50'000;
+  const fault::ReliableChannelConfig ch = fault::chaos_channel_config(arch);
+  return outage + ch.max_retries * (ch.max_timeout + ch.jitter) + 50'000;
 }
 
 void report_failure(std::ostream& out, const fault::ChaosSchedule& schedule,

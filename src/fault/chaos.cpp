@@ -1,8 +1,6 @@
 #include "fault/chaos.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <map>
 #include <memory>
@@ -39,6 +37,9 @@ constexpr int kRmbocBuses = 4;
 constexpr int kBuscomBuses = 4;
 constexpr int kDynocSize = 7;
 constexpr fpga::Point kConochiSwitches[] = {{1, 1}, {5, 1}, {1, 5}, {5, 5}};
+/// The wire runs closing the four switches into a ring.
+constexpr verify::Scenario::Wire kConochiWires[] = {
+    {{2, 1}, {4, 1}}, {{2, 5}, {4, 5}}, {{1, 2}, {1, 4}}, {{5, 2}, {5, 4}}};
 
 constexpr fpga::ModuleId kEndpointA = 1;
 constexpr fpga::ModuleId kEndpointB = 2;
@@ -72,7 +73,6 @@ struct Fixture {
   std::unique_ptr<conochi::Conochi> conochi;
   core::CommArchitecture* arch = nullptr;
   sim::Cycle send_gap = 100;
-  ReliableChannelConfig channel;
 };
 
 fpga::HardwareModule unit_module() {
@@ -94,8 +94,6 @@ Fixture make_fixture(sim::Kernel& kernel, ChaosArch a) {
       fx.arch->attach(kEndpointA, unit_module());
       fx.arch->attach(kEndpointB, unit_module());
       fx.send_gap = 200;
-      fx.channel.base_timeout = 2'048;
-      fx.channel.max_timeout = 16'384;
       break;
     }
     case ChaosArch::kBuscom: {
@@ -106,8 +104,6 @@ Fixture make_fixture(sim::Kernel& kernel, ChaosArch a) {
       fx.arch->attach(kEndpointA, unit_module());
       fx.arch->attach(kEndpointB, unit_module());
       fx.send_gap = 600;
-      fx.channel.base_timeout = 8'192;
-      fx.channel.max_timeout = 65'536;
       break;
     }
     case ChaosArch::kDynoc: {
@@ -126,10 +122,7 @@ Fixture make_fixture(sim::Kernel& kernel, ChaosArch a) {
       cfg.grid_height = 8;
       fx.conochi = std::make_unique<conochi::Conochi>(kernel, cfg);
       for (const auto& p : kConochiSwitches) fx.conochi->add_switch(p);
-      fx.conochi->lay_wire({2, 1}, {4, 1});
-      fx.conochi->lay_wire({2, 5}, {4, 5});
-      fx.conochi->lay_wire({1, 2}, {1, 4});
-      fx.conochi->lay_wire({5, 2}, {5, 4});
+      for (const auto& w : kConochiWires) fx.conochi->lay_wire(w.a, w.b);
       fx.arch = fx.conochi.get();
       fx.conochi->attach_at(kEndpointA, unit_module(), {1, 1});
       fx.conochi->attach_at(kEndpointB, unit_module(), {5, 5});
@@ -141,6 +134,24 @@ Fixture make_fixture(sim::Kernel& kernel, ChaosArch a) {
 }
 
 }  // namespace
+
+ReliableChannelConfig chaos_channel_config(ChaosArch a) {
+  ReliableChannelConfig cfg;
+  switch (a) {
+    case ChaosArch::kRmboc:
+      cfg.base_timeout = 2'048;
+      cfg.max_timeout = 16'384;
+      break;
+    case ChaosArch::kBuscom:
+      cfg.base_timeout = 8'192;
+      cfg.max_timeout = 65'536;
+      break;
+    case ChaosArch::kDynoc:
+    case ChaosArch::kConochi:
+      break;
+  }
+  return cfg;
+}
 
 const char* to_string(ChaosArch a) {
   switch (a) {
@@ -301,7 +312,8 @@ ChaosResult run_schedule(const ChaosSchedule& s, const ChaosRunOptions& opt) {
   FaultInjector injector(kernel, arch, s.faults, sim::Rng(s.seed * 977 + 13));
   injector.attach_icap(mgr.icap());
 
-  ReliableChannel rc(kernel, arch, fx.channel, sim::Rng(s.seed * 31 + 7));
+  ReliableChannel rc(kernel, arch, chaos_channel_config(s.arch),
+                     sim::Rng(s.seed * 31 + 7));
   rc.add_endpoint(kEndpointA);
   rc.add_endpoint(kEndpointB);
   for (std::uint32_t id : kOpIds) rc.add_endpoint(id);
@@ -460,17 +472,6 @@ ChaosResult run_schedule(const ChaosSchedule& s, const ChaosRunOptions& opt) {
     result.violations.push_back(
         {"cancelled", "run cancelled mid-flight by the farm watchdog"});
     return result;
-  }
-
-  if (std::getenv("RECOSIM_CHAOS_DEBUG")) {
-    std::fprintf(stderr,
-                 "[chaos-debug] icap requests=%llu completed=%llu aborted=%llu "
-                 "inj_icap_aborts=%llu mgr_load_failures=%llu\n",
-                 (unsigned long long)mgr.icap().stats().counter_value("requests"),
-                 (unsigned long long)mgr.icap().stats().counter_value("completed"),
-                 (unsigned long long)mgr.icap().stats().counter_value("aborted"),
-                 (unsigned long long)injector.stats().counter_value("icap_aborts"),
-                 (unsigned long long)mgr.stats().counter_value("load_failures"));
   }
 
   ChaosResult result;
@@ -642,8 +643,8 @@ void timeline_lint_schedule(const ChaosSchedule& s,
       sc.settings["slots"] = kRmbocSlots;
       sc.settings["buses"] = kRmbocBuses;
       // attach() hands out cross-point slots in order: A -> 0, B -> 1.
-      sc.rmboc_slot[static_cast<int>(kEndpointA)] = 0;
-      sc.rmboc_slot[static_cast<int>(kEndpointB)] = 1;
+      sc.placement[static_cast<int>(kEndpointA)] = {0, 0};
+      sc.placement[static_cast<int>(kEndpointB)] = {1, 0};
       break;
     case ChaosArch::kBuscom:
       sc.arch = v::ArchKind::kBuscom;
@@ -653,20 +654,18 @@ void timeline_lint_schedule(const ChaosSchedule& s,
       sc.arch = v::ArchKind::kDynoc;
       sc.settings["width"] = kDynocSize;
       sc.settings["height"] = kDynocSize;
-      sc.dynoc_place[static_cast<int>(kEndpointA)] = {1, 1};
-      sc.dynoc_place[static_cast<int>(kEndpointB)] = {5, 1};
+      sc.placement[static_cast<int>(kEndpointA)] = {1, 1};
+      sc.placement[static_cast<int>(kEndpointB)] = {5, 1};
       break;
     case ChaosArch::kConochi:
       sc.arch = v::ArchKind::kConochi;
       sc.settings["grid_width"] = 8;
       sc.settings["grid_height"] = 8;
-      for (const auto& p : kConochiSwitches) sc.switches.push_back(p);
-      sc.wires.push_back({{2, 1}, {4, 1}});
-      sc.wires.push_back({{2, 5}, {4, 5}});
-      sc.wires.push_back({{1, 2}, {1, 4}});
-      sc.wires.push_back({{5, 2}, {5, 4}});
-      sc.conochi_attach[static_cast<int>(kEndpointA)] = {1, 1};
-      sc.conochi_attach[static_cast<int>(kEndpointB)] = {5, 5};
+      sc.switches.assign(std::begin(kConochiSwitches),
+                         std::end(kConochiSwitches));
+      sc.wires.assign(std::begin(kConochiWires), std::end(kConochiWires));
+      sc.placement[static_cast<int>(kEndpointA)] = {1, 1};
+      sc.placement[static_cast<int>(kEndpointB)] = {5, 5};
       break;
   }
   // The reliable channel runs payloads A -> B and acks B -> A.

@@ -26,6 +26,11 @@ inline constexpr ChaosArch kAllChaosArchs[] = {
     ChaosArch::kRmboc, ChaosArch::kBuscom, ChaosArch::kDynoc,
     ChaosArch::kConochi};
 
+struct ReliableChannelConfig;
+/// The reliable channel the chaos fixture of `arch` runs its traffic on:
+/// the backends that deliver slower wait longer for an ACK.
+ReliableChannelConfig chaos_channel_config(ChaosArch arch);
+
 /// One reconfiguration request the schedule issues (as a ReconfigTxn).
 struct ChaosOp {
   enum class Kind { kLoad, kSwap, kUnload, kLoadCompact };

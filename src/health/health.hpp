@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -232,13 +231,6 @@ struct OrchestratorConfig {
   sim::Cycle probe_interval = 4'096;
   /// Transaction policy for evacuations.
   core::TxnConfig evac_txn;
-  /// Packet priority for degraded-mode admission (higher = keep longer);
-  /// unset means every packet has priority 0.
-  std::function<int(const proto::Packet&)> priority;
-  /// In degraded mode, packets involving the shed subject with priority
-  /// below this are refused at send() ("admission_shed"). The default
-  /// sheds everything touching the subject.
-  int shed_below_priority = std::numeric_limits<int>::max();
 };
 
 /// Policy-driven recovery: listens to a FailureDetector and walks each

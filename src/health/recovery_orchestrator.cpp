@@ -44,11 +44,10 @@ RecoveryOrchestrator::RecoveryOrchestrator(
   detector_.add_cleared_hook(
       [this](const Subject& s, sim::Cycle at) { on_cleared(s, at); });
   if (rc_) {
+    // Degraded mode refuses every packet touching a shed module at send()
+    // ("admission_shed").
     rc_->set_admission_control([this](const proto::Packet& p) {
-      if (shed_.empty()) return true;
-      if (!shed_.count(p.src) && !shed_.count(p.dst)) return true;
-      const int prio = cfg_.priority ? cfg_.priority(p) : 0;
-      return prio >= cfg_.shed_below_priority;
+      return !shed_.count(p.src) && !shed_.count(p.dst);
     });
   }
 }

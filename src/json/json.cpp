@@ -87,7 +87,9 @@ Writer& Writer::key(std::string_view k) {
 }
 
 Writer& Writer::value(std::string_view s) {
-  return token("\"" + escape(s) + "\"");
+  std::string quoted(1, '"');
+  quoted.append(escape(s)).push_back('"');
+  return token(quoted);
 }
 
 Writer& Writer::value(double d) {

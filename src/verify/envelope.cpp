@@ -16,22 +16,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <set>
+#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "verify/fault_plan.hpp"
 #include "verify/scenario.hpp"
 #include "verify/timeline.hpp"
+#include "verify/topology.hpp"
 #include "verify/verifier.hpp"
 
 namespace recosim::verify {
 
 namespace {
-
-std::string module_str(int id) { return "module " + std::to_string(id); }
 
 std::string flow_str(int src, int dst) {
   return "flow " + std::to_string(src) + "->" + std::to_string(dst);
@@ -43,12 +39,6 @@ std::string num(double v) {
   if (v == std::floor(v) && std::abs(v) < 1e15)
     return std::to_string(static_cast<long long>(v));
   return std::to_string(v);
-}
-
-bool node_failed_1d(const std::set<std::pair<int, int>>& failed, int a) {
-  for (const auto& f : failed)
-    if (f.first == a) return true;
-  return false;
 }
 
 /// Report the ENV001/ENV003/ENV004 cascade for one resource envelope.
@@ -133,224 +123,21 @@ void for_each_live_deadline(const TimelineStep& st, Fn&& fn) {
   }
 }
 
-// --- DyNoC path model -----------------------------------------------------
-
-struct DynocGrid {
-  int width = 0;
-  int height = 0;
-  /// Tiles removed from the router mesh by area>1 module footprints.
-  std::vector<char> obstacle;
-
-  bool open(fpga::Point p, const std::set<std::pair<int, int>>* failed) const {
-    if (p.x < 0 || p.x >= width || p.y < 0 || p.y >= height) return false;
-    if (obstacle[static_cast<std::size_t>(p.y * width + p.x)]) return false;
-    return !failed || !failed->count({p.x, p.y});
-  }
-};
-
-DynocGrid dynoc_grid(const TimelineStep& st) {
-  DynocGrid g;
-  g.width = static_cast<int>(st.full.setting("width", 5));
-  g.height = static_cast<int>(st.full.setting("height", 5));
-  g.obstacle.assign(
-      static_cast<std::size_t>(std::max(0, g.width * g.height)), 0);
-  for (const auto& [mod, at] : st.snapshot.dynoc_place) {
-    int w = 1, h = 1;
-    for (const auto& m : st.snapshot.modules)
-      if (m.id == mod) {
-        w = m.width;
-        h = m.height;
-      }
-    if (w * h <= 1) continue;  // unit modules keep their router
-    for (int y = at.y; y < at.y + h; ++y)
-      for (int x = at.x; x < at.x + w; ++x)
-        if (x >= 0 && x < g.width && y >= 0 && y < g.height)
-          g.obstacle[static_cast<std::size_t>(y * g.width + x)] = 1;
-  }
-  return g;
-}
-
-/// Access routers of a module: its own tile for unit modules, the ring
-/// for larger ones (minus obstacles / failed routers).
-std::vector<fpga::Point> access_routers(
-    const TimelineStep& st, const DynocGrid& g, int mod,
-    const std::set<std::pair<int, int>>* failed) {
-  std::vector<fpga::Point> out;
-  const auto it = st.snapshot.dynoc_place.find(mod);
-  if (it == st.snapshot.dynoc_place.end()) return out;
-  int w = 1, h = 1;
-  for (const auto& m : st.snapshot.modules)
-    if (m.id == mod) {
-      w = m.width;
-      h = m.height;
-    }
-  if (w * h <= 1) {
-    if (g.open(it->second, failed)) out.push_back(it->second);
-    return out;
-  }
-  const fpga::Rect r{it->second.x, it->second.y, w, h};
-  const fpga::Rect ring = r.inflated(1);
-  for (int y = ring.y; y < ring.bottom(); ++y)
-    for (int x = ring.x; x < ring.right(); ++x) {
-      const fpga::Point p{x, y};
-      if (!r.contains(p) && g.open(p, failed)) out.push_back(p);
-    }
-  return out;
-}
-
-/// BFS hop distance between two modules' access routers over the mesh;
-/// -1 when unreachable. `failed` null = fault-free capacity view.
-int dynoc_distance(const TimelineStep& st, const DynocGrid& g, int src,
-                   int dst, const std::set<std::pair<int, int>>* failed) {
-  const auto starts = access_routers(st, g, src, failed);
-  const auto goals = access_routers(st, g, dst, failed);
-  if (starts.empty() || goals.empty()) return -1;
-  std::set<std::pair<int, int>> goal_set;
-  for (const auto& p : goals) goal_set.insert({p.x, p.y});
-  std::vector<int> dist(
-      static_cast<std::size_t>(std::max(0, g.width * g.height)), -1);
-  std::queue<fpga::Point> work;
-  for (const auto& p : starts) {
-    dist[static_cast<std::size_t>(p.y * g.width + p.x)] = 0;
-    work.push(p);
-  }
-  while (!work.empty()) {
-    const fpga::Point p = work.front();
-    work.pop();
-    const int d = dist[static_cast<std::size_t>(p.y * g.width + p.x)];
-    if (goal_set.count({p.x, p.y})) return d;
-    const fpga::Point next[4] = {
-        {p.x + 1, p.y}, {p.x - 1, p.y}, {p.x, p.y + 1}, {p.x, p.y - 1}};
-    for (const auto& n : next) {
-      if (!g.open(n, failed)) continue;
-      auto& dn = dist[static_cast<std::size_t>(n.y * g.width + n.x)];
-      if (dn >= 0) continue;
-      dn = d + 1;
-      work.push(n);
-    }
-  }
-  return -1;
-}
-
-// --- CoNoChi path model ---------------------------------------------------
-
-/// Derived switch link graph (same derivation as check_conochi: two
-/// switches on a row/column link when a wire run covers the tiles
-/// between them and no switch sits in between).
-std::vector<std::vector<int>> conochi_links(const Scenario& s) {
-  const int n = static_cast<int>(s.switches.size());
-  const auto wire_covers = [&](fpga::Point a, fpga::Point b) {
-    for (const auto& w : s.wires) {
-      if (a.y == b.y && w.a.y == a.y && w.b.y == a.y) {
-        const int lo = std::min(w.a.x, w.b.x);
-        const int hi = std::max(w.a.x, w.b.x);
-        if (lo <= std::min(a.x, b.x) + 1 && hi >= std::max(a.x, b.x) - 1)
-          return true;
-      }
-      if (a.x == b.x && w.a.x == a.x && w.b.x == a.x) {
-        const int lo = std::min(w.a.y, w.b.y);
-        const int hi = std::max(w.a.y, w.b.y);
-        if (lo <= std::min(a.y, b.y) + 1 && hi >= std::max(a.y, b.y) - 1)
-          return true;
-      }
-    }
-    return std::abs(a.x - b.x) + std::abs(a.y - b.y) == 1;
-  };
-  std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const fpga::Point a = s.switches[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < n; ++j) {
-      const fpga::Point b = s.switches[static_cast<std::size_t>(j)];
-      if (a.x != b.x && a.y != b.y) continue;
-      bool blocked = false;
-      for (int k = 0; k < n && !blocked; ++k) {
-        if (k == i || k == j) continue;
-        const fpga::Point c = s.switches[static_cast<std::size_t>(k)];
-        if (a.y == b.y && c.y == a.y && c.x > std::min(a.x, b.x) &&
-            c.x < std::max(a.x, b.x))
-          blocked = true;
-        if (a.x == b.x && c.x == a.x && c.y > std::min(a.y, b.y) &&
-            c.y < std::max(a.y, b.y))
-          blocked = true;
-      }
-      if (blocked || !wire_covers(a, b)) continue;
-      adj[static_cast<std::size_t>(i)].push_back(j);
-      adj[static_cast<std::size_t>(j)].push_back(i);
-    }
-  }
-  return adj;
-}
-
-/// BFS hop distance between two switches, transiting only un-failed
-/// switches; -1 when unreachable. `failed` null = fault-free view.
-int conochi_distance(const Scenario& s,
-                     const std::vector<std::vector<int>>& adj, int src,
-                     int dst,
-                     const std::set<std::pair<int, int>>* failed) {
-  const int n = static_cast<int>(s.switches.size());
-  const auto down = [&](int i) {
-    if (!failed) return false;
-    const fpga::Point p = s.switches[static_cast<std::size_t>(i)];
-    return failed->count({p.x, p.y}) > 0;
-  };
-  if (src < 0 || dst < 0 || down(src) || down(dst)) return -1;
-  if (src == dst) return 0;
-  std::vector<int> dist(static_cast<std::size_t>(n), -1);
-  std::queue<int> work;
-  dist[static_cast<std::size_t>(src)] = 0;
-  work.push(src);
-  while (!work.empty()) {
-    const int u = work.front();
-    work.pop();
-    for (int v : adj[static_cast<std::size_t>(u)]) {
-      if (down(v) || dist[static_cast<std::size_t>(v)] >= 0) continue;
-      dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-      if (v == dst) return dist[static_cast<std::size_t>(v)];
-      work.push(v);
-    }
-  }
-  return -1;
-}
-
-int switch_index(const Scenario& s, fpga::Point p) {
-  for (std::size_t i = 0; i < s.switches.size(); ++i)
-    if (s.switches[i] == p) return static_cast<int>(i);
-  return -1;
-}
-
-}  // namespace
-
 // --------------------------------------------------------------------------
 // BUS-COM: the shared resource is the TDMA round (aggregate payload per
 // round across all up buses) plus each demanding module's slot share.
 
-void envelope_step_buscom(const TimelineStep& st, DiagnosticSink& sink) {
+void envelope_buscom(const TimelineStep& st, const Topology& t,
+                     DiagnosticSink& sink) {
   const std::string comp = "buscom";
   const Scenario& s = st.snapshot;
-  const int buses = static_cast<int>(st.full.setting("buses", 4));
-  const int slots_per_round =
-      static_cast<int>(st.full.setting("slots_per_round", 32));
-  const double cycles_per_slot = st.full.setting("cycles_per_slot", 16);
-  const double in_width_bits = st.full.setting("in_width_bits", 32);
+  const int buses = t.buses;
+  const int slots_per_round = t.slots_per_round;
   if (buses < 1 || slots_per_round < 1) return;  // BUS006 territory
-  const double payload_per_slot =
-      std::clamp((cycles_per_slot * in_width_bits - 20.0) / 8.0, 1.0, 256.0);
-
-  int up_buses = buses;
-  for (int b = 0; b < buses; ++b)
-    if (node_failed_1d(st.failed_nodes, b)) --up_buses;
-
-  // Valid, de-duplicated slot table: per module, total owned slots and
-  // slots surviving on un-failed buses.
-  std::map<int, int> owned, owned_up;
-  std::set<std::pair<int, int>> seen;
-  for (const auto& a : s.slots) {
-    if (a.bus < 0 || a.bus >= buses || a.slot < 0 || a.slot >= slots_per_round)
-      continue;
-    if (!seen.insert({a.bus, a.slot}).second) continue;
-    ++owned[a.owner];
-    if (!node_failed_1d(st.failed_nodes, a.bus)) ++owned_up[a.owner];
-  }
+  const double payload_per_slot = t.slot_payload();
+  const int up_buses = t.buses_up(st.failed_nodes);
+  // Per module, total owned slots and slots surviving on un-failed buses.
+  auto [owned, owned_up] = t.slot_shares(st.failed_nodes);
 
   // Aggregate round envelope: guaranteed demand is what the live modules'
   // epochs declare; each live channel whose source declares no budget
@@ -397,7 +184,7 @@ void envelope_step_buscom(const TimelineStep& st, DiagnosticSink& sink) {
   // static slot comes around again, plus the slot transfer itself. A
   // sender with no slot left on an un-failed bus has only the dynamic
   // arbitration, which guarantees nothing.
-  const double round_cycles = slots_per_round * cycles_per_slot;
+  const double round_cycles = slots_per_round * t.cycles_per_slot;
   for_each_live_deadline(st, [&](int src, int dst, long long deadline) {
     const int up = owned_up.count(src) ? owned_up[src] : 0;
     if (up == 0) {
@@ -407,7 +194,7 @@ void envelope_step_buscom(const TimelineStep& st, DiagnosticSink& sink) {
       return;
     }
     emit_deadline(sink, comp, src, dst, deadline,
-                  round_cycles + cycles_per_slot,
+                  round_cycles + t.cycles_per_slot,
                   "one " + num(round_cycles) + "-cycle round of slot wait "
                   "plus the transfer");
   });
@@ -418,67 +205,48 @@ void envelope_step_buscom(const TimelineStep& st, DiagnosticSink& sink) {
 // demand min is the clamped lanes the open circuits hold, demand max the
 // lanes they requested before RMB005 clamping.
 
-void envelope_step_rmboc(const TimelineStep& st, DiagnosticSink& sink) {
+void envelope_rmboc(const TimelineStep& st, const Topology& t,
+                    DiagnosticSink& sink) {
   const std::string comp = "rmboc";
-  const Scenario& s = st.snapshot;
-  const int slots = static_cast<int>(st.full.setting("slots", 4));
-  const int buses = static_cast<int>(st.full.setting("buses", 4));
-  const double hop_cycles = st.full.setting("hop_cycles", 4);
-  if (slots < 1 || buses < 1) return;
+  const int buses = t.buses;
+  if (t.slots < 1 || buses < 1) return;
 
-  const std::size_t segs = static_cast<std::size_t>(std::max(0, slots - 1));
-  std::vector<int> requested(segs, 0), clamped(segs, 0), up(segs, buses);
-  for (const auto& f : st.failed_links)
-    if (f.first >= 0 && f.first < static_cast<int>(segs))
-      up[static_cast<std::size_t>(f.first)] =
-          std::max(0, up[static_cast<std::size_t>(f.first)] - 1);
-
-  struct FlowPath {
-    const Scenario::Channel* c;
-    int lo, hi;  // crossed segments [lo, hi)
-    bool endpoint_failed;
+  const std::size_t segs = static_cast<std::size_t>(t.segments());
+  const Topology::SegmentLanes lanes = t.segment_lanes(st.channels);
+  std::vector<int> up(segs);
+  for (std::size_t seg = 0; seg < segs; ++seg)
+    up[seg] = t.lanes_up(static_cast<int>(seg), st.failed_links);
+  const auto access_failed = [&](int mod) {
+    return t.failed_access(mod, st.failed_nodes).has_value();
   };
-  std::vector<FlowPath> flows;
-  for (const auto& c : st.channels) {
-    const auto src = s.rmboc_slot.find(c.src);
-    const auto dst = s.rmboc_slot.find(c.dst);
-    if (src == s.rmboc_slot.end() || dst == s.rmboc_slot.end() || c.lanes < 1)
-      continue;  // RMB002 / RMB001, reported by the timeline hook
-    const bool ep_failed = node_failed_1d(st.failed_nodes, src->second) ||
-                           node_failed_1d(st.failed_nodes, dst->second);
-    const int lo = std::min(src->second, dst->second);
-    const int hi = std::max(src->second, dst->second);
-    flows.push_back({&c, lo, hi, ep_failed});
-    for (int seg = lo; seg < hi; ++seg) {
-      if (seg < 0 || seg >= static_cast<int>(segs)) continue;
-      requested[static_cast<std::size_t>(seg)] += c.lanes;
-      clamped[static_cast<std::size_t>(seg)] += std::min(c.lanes, buses);
-    }
-  }
 
   for (std::size_t seg = 0; seg < segs; ++seg) {
-    if (requested[seg] == 0) continue;
+    if (lanes.requested[seg] == 0) continue;
     ResourceEnvelope env;
     env.resource = "segment " + std::to_string(seg);
-    env.demand_min = clamped[seg];
-    env.demand_max = requested[seg];
+    env.demand_min = lanes.held[seg];
+    env.demand_max = lanes.requested[seg];
     env.capacity_max = buses;
     env.capacity_min = up[seg];
     emit_envelope(st, sink, comp, env, "lane(s)");
   }
 
   // Per-flow path envelope: worst crossed segment (or the endpoint
-  // cross-points themselves) bounds what the circuit can hold.
-  for (const auto& f : flows) {
+  // cross-points themselves) bounds what the circuit can hold. Unplaced
+  // or lane-less channels are RMB002 / RMB001, reported by the timeline
+  // hook.
+  for (const auto& c : st.channels) {
+    const auto span = t.span(c.src, c.dst);
+    if (!span || c.lanes < 1) continue;
     ResourceEnvelope env;
-    env.resource = flow_str(f.c->src, f.c->dst);
-    env.demand_max = std::min(f.c->lanes, buses);
+    env.resource = flow_str(c.src, c.dst);
+    env.demand_max = std::min(c.lanes, buses);
     env.capacity_max = buses;
     int cap = buses;
-    for (int seg = f.lo; seg < f.hi; ++seg)
+    for (int seg = span->lo; seg < span->hi; ++seg)
       if (seg >= 0 && seg < static_cast<int>(segs))
         cap = std::min(cap, up[static_cast<std::size_t>(seg)]);
-    env.capacity_min = f.endpoint_failed ? 0 : cap;
+    env.capacity_min = access_failed(c.src) || access_failed(c.dst) ? 0 : cap;
     emit_envelope(st, sink, comp, env, "lane(s)");
   }
 
@@ -486,17 +254,15 @@ void envelope_step_rmboc(const TimelineStep& st, DiagnosticSink& sink) {
   // worst contention factor (circuits queued per lane) on the way; a
   // failed endpoint cross-point or a fully failed segment is unbounded.
   for_each_live_deadline(st, [&](int a, int b, long long deadline) {
-    const auto sa = s.rmboc_slot.find(a);
-    const auto sb = s.rmboc_slot.find(b);
-    if (sa == s.rmboc_slot.end() || sb == s.rmboc_slot.end()) return;
-    if (node_failed_1d(st.failed_nodes, sa->second) ||
-        node_failed_1d(st.failed_nodes, sb->second)) {
+    const auto span = t.span(a, b);
+    if (!span) return;
+    if (access_failed(a) || access_failed(b)) {
       emit_deadline(sink, comp, a, b, deadline, -1,
                     "an endpoint cross-point is failed");
       return;
     }
-    const int lo = std::min(sa->second, sb->second);
-    const int hi = std::max(sa->second, sb->second);
+    const int lo = span->lo;
+    const int hi = span->hi;
     int contention = 1;
     for (int seg = lo; seg < hi; ++seg) {
       if (seg < 0 || seg >= static_cast<int>(segs)) continue;
@@ -506,13 +272,14 @@ void envelope_step_rmboc(const TimelineStep& st, DiagnosticSink& sink) {
                           " is failed");
         return;
       }
-      const int queued = std::max(clamped[static_cast<std::size_t>(seg)], 1);
+      const int queued =
+          std::max(lanes.held[static_cast<std::size_t>(seg)], 1);
       contention = std::max(
           contention, (queued + up[static_cast<std::size_t>(seg)] - 1) /
                           up[static_cast<std::size_t>(seg)]);
     }
     emit_deadline(sink, comp, a, b, deadline,
-                  hop_cycles * (hi - lo + 1) * contention,
+                  t.hop_cycles * (hi - lo + 1) * contention,
                   std::to_string(hi - lo) + " segment hop(s) at contention " +
                       std::to_string(contention));
   });
@@ -523,38 +290,45 @@ void envelope_step_rmboc(const TimelineStep& st, DiagnosticSink& sink) {
 // detours around failed ring routers, so capacity only collapses when
 // the faults (plus module obstacles) disconnect the endpoints.
 
-void envelope_step_dynoc(const TimelineStep& st, DiagnosticSink& sink) {
+void envelope_dynoc(const TimelineStep& st, const Topology& t,
+                    DiagnosticSink& sink) {
   const std::string comp = "dynoc";
-  const double hop_cycles = st.full.setting("hop_cycles", 4);
-  const DynocGrid g = dynoc_grid(st);
-  if (g.width < 1 || g.height < 1) return;
+  if (t.width < 1 || t.height < 1) return;
+  // Every live placement is an obstacle here, border and ring violations
+  // included; a footprint of area < 1 counts as a unit module.
+  std::map<int, fpga::Rect> at;
+  std::vector<fpga::Rect> rects;
+  for (const auto& [mod, p] : st.snapshot.placement) {
+    fpga::Rect r = *t.footprint(mod);
+    if (r.area() < 1) r.w = r.h = 1;
+    at.emplace(mod, r);
+    rects.push_back(r);
+  }
+  const DynocMesh mesh = t.mesh(rects);
+  const auto distance = [&](int a, int b, const FailedSet* failed) {
+    return mesh.distance(at.at(a), at.at(b), failed);
+  };
 
   for (const auto& c : st.channels) {
-    if (!st.snapshot.dynoc_place.count(c.src) ||
-        !st.snapshot.dynoc_place.count(c.dst))
-      continue;
+    if (!at.count(c.src) || !at.count(c.dst)) continue;
     ResourceEnvelope env;
     env.resource = flow_str(c.src, c.dst);
     env.demand_max = 1;
-    env.capacity_max =
-        dynoc_distance(st, g, c.src, c.dst, nullptr) >= 0 ? 1 : 0;
-    env.capacity_min =
-        dynoc_distance(st, g, c.src, c.dst, &st.failed_nodes) >= 0 ? 1 : 0;
+    env.capacity_max = distance(c.src, c.dst, nullptr) >= 0 ? 1 : 0;
+    env.capacity_min = distance(c.src, c.dst, &st.failed_nodes) >= 0 ? 1 : 0;
     emit_envelope(st, sink, comp, env, "path(s)");
   }
 
   // ENV002 — the faulted BFS distance already prices the S-XY detours in.
   for_each_live_deadline(st, [&](int a, int b, long long deadline) {
-    if (!st.snapshot.dynoc_place.count(a) ||
-        !st.snapshot.dynoc_place.count(b))
-      return;
-    const int d = dynoc_distance(st, g, a, b, &st.failed_nodes);
+    if (!at.count(a) || !at.count(b)) return;
+    const int d = distance(a, b, &st.failed_nodes);
     if (d < 0) {
       emit_deadline(sink, comp, a, b, deadline, -1,
                     "the faults disconnect the modules' access routers");
       return;
     }
-    emit_deadline(sink, comp, a, b, deadline, hop_cycles * (d + 2),
+    emit_deadline(sink, comp, a, b, deadline, t.hop_cycles * (d + 2),
                   std::to_string(d) + " router hop(s) plus module entry "
                   "and exit");
   });
@@ -565,15 +339,12 @@ void envelope_step_dynoc(const TimelineStep& st, DiagnosticSink& sink) {
 // the derived link graph; a failed switch removes its links, so the
 // re-planned path lengthens or the endpoints disconnect.
 
-void envelope_step_conochi(const TimelineStep& st, DiagnosticSink& sink) {
+void envelope_conochi(const TimelineStep& st, const Topology& t,
+                      DiagnosticSink& sink) {
   const std::string comp = "conochi";
-  const Scenario& s = st.snapshot;
-  const double hop_cycles = st.full.setting("hop_cycles", 4);
-  const auto adj = conochi_links(s);
-
   const auto attach_index = [&](int mod) {
-    const auto it = s.conochi_attach.find(mod);
-    return it == s.conochi_attach.end() ? -1 : switch_index(s, it->second);
+    const auto p = t.placement(mod);
+    return p ? t.switch_index(*p) : -1;
   };
 
   for (const auto& c : st.channels) {
@@ -583,9 +354,8 @@ void envelope_step_conochi(const TimelineStep& st, DiagnosticSink& sink) {
     ResourceEnvelope env;
     env.resource = flow_str(c.src, c.dst);
     env.demand_max = 1;
-    env.capacity_max = conochi_distance(s, adj, a, b, nullptr) >= 0 ? 1 : 0;
-    env.capacity_min =
-        conochi_distance(s, adj, a, b, &st.failed_nodes) >= 0 ? 1 : 0;
+    env.capacity_max = t.switch_distance(a, b, nullptr) >= 0 ? 1 : 0;
+    env.capacity_min = t.switch_distance(a, b, &st.failed_nodes) >= 0 ? 1 : 0;
     emit_envelope(st, sink, comp, env, "path(s)");
   }
 
@@ -594,16 +364,29 @@ void envelope_step_conochi(const TimelineStep& st, DiagnosticSink& sink) {
     const int a = attach_index(ma);
     const int b = attach_index(mb);
     if (a < 0 || b < 0) return;
-    const int d = conochi_distance(s, adj, a, b, &st.failed_nodes);
+    const int d = t.switch_distance(a, b, &st.failed_nodes);
     if (d < 0) {
       emit_deadline(sink, comp, ma, mb, deadline, -1,
                     "no path of live switches connects the modules");
       return;
     }
-    emit_deadline(sink, comp, ma, mb, deadline, hop_cycles * (d + 1),
+    emit_deadline(sink, comp, ma, mb, deadline, t.hop_cycles * (d + 1),
                   std::to_string(d) + " switch hop(s) plus the local "
                   "delivery");
   });
+}
+
+}  // namespace
+
+void envelope_step(const TimelineStep& st, const Topology& topo,
+                   DiagnosticSink& sink) {
+  switch (st.snapshot.arch) {
+    case ArchKind::kBuscom: envelope_buscom(st, topo, sink); break;
+    case ArchKind::kRmboc: envelope_rmboc(st, topo, sink); break;
+    case ArchKind::kDynoc: envelope_dynoc(st, topo, sink); break;
+    case ArchKind::kConochi: envelope_conochi(st, topo, sink); break;
+    case ArchKind::kNone: break;
+  }
 }
 
 // --------------------------------------------------------------------------

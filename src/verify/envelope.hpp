@@ -10,6 +10,7 @@ namespace recosim::verify {
 struct TimelineStep;
 struct Scenario;
 struct FaultPlanDoc;
+class Topology;
 
 /// The [min,max] demand and capacity envelope of one shared resource in
 /// one timeline window. Demand min is what the schedule guarantees will
@@ -40,10 +41,11 @@ struct EnvelopeParams {
   std::vector<ResourceEnvelope>* collect = nullptr;
 };
 
-/// Per-architecture envelope hooks, called from the matching
-/// Verifier::timeline_step_* when the step carries EnvelopeParams. Like
-/// every timeline hook they must not mention window bounds in messages —
-/// the timeline merges adjacent-window findings into intervals.
+/// The envelope pass of one timeline window over `topo`, the model of
+/// the window's snapshot; Verifier::timeline_step runs it when the step
+/// carries EnvelopeParams. Like every timeline hook it must not mention
+/// window bounds in messages — the timeline merges adjacent-window
+/// findings into intervals.
 ///
 /// Rules emitted (registry: rules.hpp, catalogue: docs/static-analysis.md):
 ///   ENV001  demand_max > capacity_max   (error if demand_min exceeds too)
@@ -52,10 +54,8 @@ struct EnvelopeParams {
 ///   ENV004  headroom under faults below params.headroom_pct (warning)
 ///   ENV002  per declared deadline: worst-case flow latency in the window
 ///           (slot wait, hops, contention, fault detours) above the bound
-void envelope_step_buscom(const TimelineStep& st, DiagnosticSink& sink);
-void envelope_step_rmboc(const TimelineStep& st, DiagnosticSink& sink);
-void envelope_step_dynoc(const TimelineStep& st, DiagnosticSink& sink);
-void envelope_step_conochi(const TimelineStep& st, DiagnosticSink& sink);
+void envelope_step(const TimelineStep& st, const Topology& topo,
+                   DiagnosticSink& sink);
 
 /// Static feasibility oracle for design-space exploration: run the full
 /// timeline (snapshot rules, temporal rules, envelopes) over the scenario

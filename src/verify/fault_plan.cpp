@@ -157,22 +157,22 @@ namespace {
 /// FLT002: does the fault's coordinate name a resource the scenario's
 /// topology actually has? Returns an explanation for the diagnostic, or
 /// empty when the reference is fine.
-std::string unknown_resource(const Scenario& topo,
+std::string unknown_resource(const Topology& topo,
                              const FaultPlanDoc::Event& ev) {
   using Kind = FaultPlanDoc::Kind;
   const bool link = ev.kind == Kind::kLinkFail || ev.kind == Kind::kLinkHeal;
-  switch (topo.arch) {
+  switch (topo.scenario().arch) {
     case ArchKind::kBuscom: {
       if (link) return "BUS-COM has no link faults (buses fail whole)";
-      const int buses = static_cast<int>(topo.setting("buses", 4));
+      const int buses = topo.buses;
       if (ev.a < 0 || ev.a >= buses)
         return "bus " + std::to_string(ev.a) + " does not exist (" +
                std::to_string(buses) + " buses)";
       return {};
     }
     case ArchKind::kRmboc: {
-      const int slots = static_cast<int>(topo.setting("slots", 4));
-      const int buses = static_cast<int>(topo.setting("buses", 4));
+      const int slots = topo.slots;
+      const int buses = topo.buses;
       if (link) {
         if (ev.a < 0 || ev.a >= slots - 1)
           return "segment " + std::to_string(ev.a) +
@@ -190,8 +190,8 @@ std::string unknown_resource(const Scenario& topo,
     }
     case ArchKind::kDynoc: {
       if (link) return "DyNoC has no link faults (routers fail whole)";
-      const int w = static_cast<int>(topo.setting("width", 5));
-      const int h = static_cast<int>(topo.setting("height", 5));
+      const int w = topo.width;
+      const int h = topo.height;
       if (ev.a < 0 || ev.a >= w || ev.b < 0 || ev.b >= h)
         return "router (" + std::to_string(ev.a) + ", " +
                std::to_string(ev.b) + ") lies outside the " +
@@ -200,8 +200,7 @@ std::string unknown_resource(const Scenario& topo,
     }
     case ArchKind::kConochi: {
       if (link) return "CoNoChi has no link faults (switches fail whole)";
-      for (const auto& s : topo.switches)
-        if (s.x == ev.a && s.y == ev.b) return {};
+      if (topo.switch_index({ev.a, ev.b}) >= 0) return {};
       return "no switch declared at (" + std::to_string(ev.a) + ", " +
              std::to_string(ev.b) + ")";
     }
@@ -212,11 +211,10 @@ std::string unknown_resource(const Scenario& topo,
 
 /// Total number of "nodes" the architecture has, for the blackout check
 /// (0 = blackout not meaningful for this architecture).
-std::size_t node_universe(const Scenario& topo) {
-  switch (topo.arch) {
-    case ArchKind::kBuscom:
-      return static_cast<std::size_t>(topo.setting("buses", 4));
-    case ArchKind::kConochi: return topo.switches.size();
+std::size_t node_universe(const Topology& topo) {
+  switch (topo.scenario().arch) {
+    case ArchKind::kBuscom: return static_cast<std::size_t>(topo.buses);
+    case ArchKind::kConochi: return topo.scenario().switches.size();
     default: return 0;
   }
 }
@@ -225,78 +223,36 @@ const char* node_noun(const Scenario& topo) {
   return topo.arch == ArchKind::kBuscom ? "bus" : "switch";
 }
 
-/// Modules with a placement in the topology — the ones FLT005 can strand.
-std::vector<int> placed_modules(const Scenario& topo) {
-  std::vector<int> out;
-  for (const auto& [id, s] : topo.rmboc_slot) out.push_back(id);
-  for (const auto& [id, p] : topo.dynoc_place) out.push_back(id);
-  for (const auto& [id, p] : topo.conochi_attach) out.push_back(id);
-  return out;
-}
-
 }  // namespace
 
-std::string no_evacuation_target(
-    const Scenario& topo, int module_id,
-    const std::set<std::pair<int, int>>& failed_nodes) {
-  // 1-D architectures key node faults on the first coordinate only.
-  const auto failed_1d = [&failed_nodes](int a) {
-    for (const auto& f : failed_nodes)
-      if (f.first == a) return true;
-    return false;
-  };
-  const auto size_of = [&topo](int id, int& w, int& h) {
-    w = h = 1;
-    for (const auto& m : topo.modules)
-      if (m.id == id) {
-        w = m.width;
-        h = m.height;
-        return;
-      }
-  };
-  switch (topo.arch) {
+std::string no_evacuation_target(const Topology& topo, int module_id,
+                                 const FailedSet& failed_nodes) {
+  const Scenario& s = topo.scenario();
+  if (!topo.failed_access(module_id, failed_nodes)) return {};
+  switch (s.arch) {
     case ArchKind::kRmboc: {
-      const auto it = topo.rmboc_slot.find(module_id);
-      if (it == topo.rmboc_slot.end()) return {};
-      const int own = it->second;
-      if (!failed_1d(own)) return {};
-      const int slots = static_cast<int>(topo.setting("slots", 4));
+      const int own = topo.placement(module_id)->x;
       std::set<int> occupied;
-      for (const auto& [id, s] : topo.rmboc_slot)
-        if (id != module_id) occupied.insert(s);
-      for (int s = 0; s < slots; ++s)
-        if (s != own && !failed_1d(s) && !occupied.count(s)) return {};
-      return "module " + std::to_string(module_id) + " at cross-point slot " +
+      for (const auto& [id, p] : s.placement)
+        if (id != module_id) occupied.insert(p.x);
+      for (int slot = 0; slot < topo.slots; ++slot)
+        if (slot != own && !node_failed_1d(failed_nodes, slot) &&
+            !occupied.count(slot))
+          return {};
+      return module_str(module_id) + " at cross-point slot " +
              std::to_string(own) +
              ": the slot is failed and every other slot is failed or "
              "occupied";
     }
     case ArchKind::kDynoc: {
-      const auto it = topo.dynoc_place.find(module_id);
-      if (it == topo.dynoc_place.end()) return {};
-      int w = 1, h = 1;
-      size_of(module_id, w, h);
-      const fpga::Rect own{it->second.x, it->second.y, w, h};
-      bool hit = false;
-      for (const auto& f : failed_nodes)
-        if (own.contains({f.first, f.second})) {
-          hit = true;
-          break;
-        }
-      if (!hit) return {};
-      const int gw = static_cast<int>(topo.setting("width", 5));
-      const int gh = static_cast<int>(topo.setting("height", 5));
+      const fpga::Rect own = *topo.footprint(module_id);
       // The evacuee's own region frees up; everything else stays put.
       std::vector<fpga::Rect> others;
-      for (const auto& [id, p] : topo.dynoc_place) {
-        if (id == module_id) continue;
-        int ow = 1, oh = 1;
-        size_of(id, ow, oh);
-        others.push_back({p.x, p.y, ow, oh});
-      }
-      for (int y = 1; y + h < gh; ++y) {
-        for (int x = 1; x + w < gw; ++x) {
-          const fpga::Rect cand{x, y, w, h};
+      for (const auto& [id, p] : s.placement)
+        if (id != module_id) others.push_back(*topo.footprint(id));
+      for (int y = 1; y + own.h < topo.height; ++y) {
+        for (int x = 1; x + own.w < topo.width; ++x) {
+          const fpga::Rect cand{x, y, own.w, own.h};
           bool ok = true;
           for (const auto& f : failed_nodes)
             if (cand.contains({f.first, f.second})) {
@@ -313,44 +269,40 @@ std::string no_evacuation_target(
           if (ok) return {};
         }
       }
-      return "module " + std::to_string(module_id) + " placed at (" +
+      return module_str(module_id) + " placed at (" +
              std::to_string(own.x) + "," + std::to_string(own.y) + ") " +
-             std::to_string(w) + "x" + std::to_string(h) +
+             std::to_string(own.w) + "x" + std::to_string(own.h) +
              ": a router inside its region is failed and no alternative "
              "placement avoids the failed routers and the other modules";
     }
     case ArchKind::kConochi: {
-      const auto it = topo.conochi_attach.find(module_id);
-      if (it == topo.conochi_attach.end()) return {};
-      const fpga::Point own = it->second;
-      if (!failed_nodes.count({own.x, own.y})) return {};
+      const fpga::Point own = *topo.placement(module_id);
       // Ports a switch loses to wire runs: a straight run connects to the
       // switches one tile beyond each of its ends, in line.
-      const auto wire_ports = [&topo](const fpga::Point& s) {
+      const auto wire_ports = [&s](const fpga::Point& sw) {
         int used = 0;
-        for (const auto& wire : topo.wires) {
+        for (const auto& wire : s.wires) {
           if (wire.a.x == wire.b.x) {
             const int lo = std::min(wire.a.y, wire.b.y);
             const int hi = std::max(wire.a.y, wire.b.y);
-            if (s.x == wire.a.x && (s.y == lo - 1 || s.y == hi + 1)) ++used;
+            if (sw.x == wire.a.x && (sw.y == lo - 1 || sw.y == hi + 1)) ++used;
           } else if (wire.a.y == wire.b.y) {
             const int lo = std::min(wire.a.x, wire.b.x);
             const int hi = std::max(wire.a.x, wire.b.x);
-            if (s.y == wire.a.y && (s.x == lo - 1 || s.x == hi + 1)) ++used;
+            if (sw.y == wire.a.y && (sw.x == lo - 1 || sw.x == hi + 1)) ++used;
           }
         }
         return used;
       };
       constexpr int kSwitchPorts = 4;
-      for (const auto& s : topo.switches) {
-        if (s.x == own.x && s.y == own.y) continue;
-        if (failed_nodes.count({s.x, s.y})) continue;
+      for (const auto& sw : s.switches) {
+        if (sw == own || failed_nodes.count({sw.x, sw.y})) continue;
         int attached = 0;
-        for (const auto& [id, p] : topo.conochi_attach)
-          if (id != module_id && p.x == s.x && p.y == s.y) ++attached;
-        if (attached < kSwitchPorts - wire_ports(s)) return {};
+        for (const auto& [id, p] : s.placement)
+          if (id != module_id && p == sw) ++attached;
+        if (attached < kSwitchPorts - wire_ports(sw)) return {};
       }
-      return "module " + std::to_string(module_id) + " attached at (" +
+      return module_str(module_id) + " attached at (" +
              std::to_string(own.x) + "," + std::to_string(own.y) +
              "): the switch is failed and no healthy switch has a free "
              "port";
@@ -382,9 +334,11 @@ void check_fault_plan(const FaultPlanDoc& plan, const Scenario* topology,
                    [](const auto* x, const auto* y) { return x->at < y->at; });
 
   using Key = std::pair<int, int>;
-  std::set<Key> failed_nodes;
-  std::set<Key> failed_links;
-  const std::size_t universe = topology ? node_universe(*topology) : 0;
+  FailedSet failed_nodes;
+  FailedSet failed_links;
+  std::optional<Topology> topo;
+  if (topology) topo.emplace(*topology);
+  const std::size_t universe = topo ? node_universe(*topo) : 0;
   std::set<int> evac_warned;  ///< FLT005 fires once per module per plan
 
   for (const auto* ev : order) {
@@ -396,7 +350,7 @@ void check_fault_plan(const FaultPlanDoc& plan, const Scenario* topology,
 
     // FLT002 — against the topology, when one was given.
     if (topology && ev->kind != Kind::kIcapAbort) {
-      if (std::string why = unknown_resource(*topology, *ev); !why.empty()) {
+      if (std::string why = unknown_resource(*topo, *ev); !why.empty()) {
         sink.report("FLT002", Severity::kError,
                     line_loc(plan.source, ev->line, ev->column),
                     std::string(to_string(ev->kind)) + ": " + why,
@@ -428,10 +382,9 @@ void check_fault_plan(const FaultPlanDoc& plan, const Scenario* topology,
         // every placement in the scenario as live; the timeline pass
         // refines this with the actual lifecycle.)
         if (!is_link && topology) {
-          for (int id : placed_modules(*topology)) {
+          for (const auto& [id, at] : topology->placement) {
             if (evac_warned.count(id)) continue;
-            if (std::string why =
-                    no_evacuation_target(*topology, id, failed_nodes);
+            if (std::string why = no_evacuation_target(*topo, id, failed_nodes);
                 !why.empty()) {
               evac_warned.insert(id);
               sink.report("FLT005", Severity::kWarning,

@@ -8,6 +8,7 @@
 
 #include "verify/diagnostic.hpp"
 #include "verify/scenario.hpp"
+#include "verify/topology.hpp"
 
 namespace recosim::verify {
 
@@ -73,14 +74,13 @@ void check_fault_plan(const FaultPlanDoc& plan, const Scenario* topology,
                       DiagnosticSink& sink);
 
 /// FLT005 core, shared between the static plan walk and the timeline
-/// verifier: with `failed_nodes` down, does the module placed in `topo`
-/// still have somewhere it could be evacuated to? Returns the explanation
-/// when its own region is failed and every alternative (slot, placement
-/// position, switch port) is failed or occupied; empty when the module is
-/// unplaced, unaffected, or a target exists. BUS-COM has no placement
-/// regions, so it never fires there.
-std::string no_evacuation_target(
-    const Scenario& topo, int module_id,
-    const std::set<std::pair<int, int>>& failed_nodes);
+/// verifier: with `failed_nodes` down, does the module placed in the
+/// scenario `topo` models still have somewhere it could be evacuated to?
+/// Returns the explanation when its own region is failed and every
+/// alternative (slot, placement position, switch port) is failed or
+/// occupied; empty when the module is unplaced, unaffected, or a target
+/// exists. BUS-COM has no placement regions, so it never fires there.
+std::string no_evacuation_target(const Topology& topo, int module_id,
+                                 const FailedSet& failed_nodes);
 
 }  // namespace recosim::verify

@@ -147,25 +147,18 @@ std::optional<Scenario> parse_scenario(const std::string& text,
       else ctx.parse_error("demand expects: demand <module> <bytes>");
     } else if (word == "place") {
       // Two integers = RMBoC (module, slot); three = DyNoC (module, x, y).
-      int v[3];
-      if (s.arch == ArchKind::kRmboc) {
-        if (!take_ints(in, ctx, "place", 2, v)) continue;
-        if (s.rmboc_slot.count(v[0]))
-          ctx.bad_reference("module " + std::to_string(v[0]) +
-                            " placed twice");
-        else
-          s.rmboc_slot[v[0]] = v[1];
-      } else if (s.arch == ArchKind::kDynoc) {
-        if (!take_ints(in, ctx, "place", 3, v)) continue;
-        if (s.dynoc_place.count(v[0]))
-          ctx.bad_reference("module " + std::to_string(v[0]) +
-                            " placed twice");
-        else
-          s.dynoc_place[v[0]] = {v[1], v[2]};
-      } else {
+      const bool rmboc = s.arch == ArchKind::kRmboc;
+      if (!rmboc && s.arch != ArchKind::kDynoc) {
         ctx.bad_reference("place applies to rmboc or dynoc scenarios");
         continue;
       }
+      int v[3] = {0, 0, 0};
+      if (!take_ints(in, ctx, "place", rmboc ? 2 : 3, v)) continue;
+      if (s.placement.count(v[0]))
+        ctx.bad_reference("module " + std::to_string(v[0]) +
+                          " placed twice");
+      else
+        s.placement[v[0]] = {v[1], v[2]};
       if (!s.has_module(v[0]))
         ctx.bad_reference("place references undeclared module " +
                           std::to_string(v[0]));
@@ -205,11 +198,11 @@ std::optional<Scenario> parse_scenario(const std::string& text,
                           std::to_string(v[0]));
         continue;
       }
-      if (s.conochi_attach.count(v[0]))
+      if (s.placement.count(v[0]))
         ctx.bad_reference("module " + std::to_string(v[0]) +
                           " attached twice");
       else
-        s.conochi_attach[v[0]] = {v[1], v[2]};
+        s.placement[v[0]] = {v[1], v[2]};
     } else if (word == "route") {
       int v[4];
       if (!arch_is(ctx, s, ArchKind::kConochi, "route") ||

@@ -3,6 +3,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -69,8 +70,13 @@ struct Scenario {
   };
   std::vector<Module> modules;
 
-  /// Architecture settings ("buses", "slots_per_round", "width", ...).
-  std::map<std::string, double> settings;
+  /// Architecture settings ("buses", "slots_per_round", "width", ...);
+  /// their defaults live in the analyzer's model (verify/topology.hpp).
+  std::map<std::string, double, std::less<>> settings;
+
+  /// Where each placed module sits: RMBoC {slot, 0}, DyNoC top-left tile,
+  /// CoNoChi attach switch (a scenario has one architecture).
+  std::map<int, fpga::Point> placement;
 
   // BUS-COM
   struct SlotAssign {
@@ -82,7 +88,6 @@ struct Scenario {
   std::map<int, double> demand;  ///< module -> payload bytes per round
 
   // RMBoC
-  std::map<int, int> rmboc_slot;  ///< module -> cross-point slot
   struct Channel {
     int src = 0;
     int dst = 0;
@@ -90,16 +95,12 @@ struct Scenario {
   };
   std::vector<Channel> channels;
 
-  // DyNoC
-  std::map<int, fpga::Point> dynoc_place;  ///< module -> top-left
-
   // CoNoChi
   std::vector<fpga::Point> switches;
   struct Wire {
     fpga::Point a, b;
   };
   std::vector<Wire> wires;
-  std::map<int, fpga::Point> conochi_attach;  ///< module -> switch pos
   struct Route {
     fpga::Point at;       ///< switch the entry lives in
     int dst_switch = 0;   ///< destination switch index (declaration order)
@@ -150,7 +151,7 @@ struct Scenario {
     return false;
   }
   /// Setting value with a default.
-  double setting(const std::string& key, double fallback) const {
+  double setting(std::string_view key, double fallback) const {
     auto it = settings.find(key);
     return it == settings.end() ? fallback : it->second;
   }

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "verify/envelope.hpp"
+#include "verify/topology.hpp"
 #include "verify/verifier.hpp"
 
 namespace recosim::verify {
@@ -22,14 +24,12 @@ constexpr long long kOpenEnd = -1;  ///< window extends to schedule end
 /// Abstract fabric state the interpreter threads through the schedule.
 struct State {
   std::set<int> live;                       ///< loaded module ids
-  std::map<int, int> rmboc_slot;            ///< live placements only
-  std::map<int, fpga::Point> dynoc_place;
-  std::map<int, fpga::Point> conochi_attach;
+  std::map<int, fpga::Point> placement;     ///< live placements only
   std::vector<Scenario::SlotAssign> slots;  ///< current BUS-COM table
   std::map<int, double> demand;             ///< current epoch demand
   std::vector<Scenario::Channel> channels;  ///< live-channel multiset
-  std::set<std::pair<int, int>> failed_nodes;
-  std::set<std::pair<int, int>> failed_links;
+  FailedSet failed_nodes;
+  FailedSet failed_links;
 };
 
 /// Closed or still-open liveness interval of one module, for TMP003.
@@ -37,8 +37,6 @@ struct Interval {
   long long begin = 0;
   long long end = kOpenEnd;
 };
-
-std::string module_str(int id) { return "module " + std::to_string(id); }
 
 /// Merge key: two window findings are the same diagnostic iff everything
 /// but the interval matches.
@@ -48,14 +46,7 @@ std::string key_of(const Diagnostic& d) {
          '\x1f' + d.message + '\x1f' + d.fixit;
 }
 
-bool node_failed_1d(const std::set<std::pair<int, int>>& failed, int a) {
-  for (const auto& f : failed)
-    if (f.first == a) return true;
-  return false;
-}
-
-void apply_fault(std::set<std::pair<int, int>>& nodes,
-                 std::set<std::pair<int, int>>& links,
+void apply_fault(FailedSet& nodes, FailedSet& links,
                  const FaultPlanDoc::Event& f) {
   const std::pair<int, int> key{f.a, f.b};
   switch (f.kind) {
@@ -80,11 +71,9 @@ Scenario make_snapshot(const Scenario& s, const State& st) {
   for (const auto& m : s.modules)
     if (st.live.count(m.id)) snap.modules.push_back(m);
   snap.slots = st.slots;
-  snap.rmboc_slot = st.rmboc_slot;
-  snap.dynoc_place = st.dynoc_place;
+  snap.placement = st.placement;
   snap.switches = s.switches;
   snap.wires = s.wires;
-  snap.conochi_attach = st.conochi_attach;
   snap.routes = s.routes;
   return snap;
 }
@@ -135,12 +124,8 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
   State st;
   for (const auto& m : s.modules)
     if (!starts_dormant.count(m.id)) st.live.insert(m.id);
-  for (const auto& [mod, slot] : s.rmboc_slot)
-    if (st.live.count(mod)) st.rmboc_slot[mod] = slot;
-  for (const auto& [mod, at] : s.dynoc_place)
-    if (st.live.count(mod)) st.dynoc_place[mod] = at;
-  for (const auto& [mod, at] : s.conochi_attach)
-    if (st.live.count(mod)) st.conochi_attach[mod] = at;
+  for (const auto& [mod, at] : s.placement)
+    if (st.live.count(mod)) st.placement[mod] = at;
   st.slots = s.slots;
   st.demand = s.demand;
   st.channels = s.channels;
@@ -183,90 +168,63 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
   // with open channels starts a drain; when every lane of a channel's
   // path is failed at the event and stays failed through the whole drain
   // budget, the transaction can only end in a watchdog-forced drain. ---
-  const long long drain_budget =
-      static_cast<long long>(s.setting("drain_timeout", 20000));
-  const int rm_slots = static_cast<int>(s.setting("slots", 4));
-  const int rm_buses = static_cast<int>(s.setting("buses", 4));
+  const long long drain_budget = Topology(s).drain_timeout;
 
-  const auto path_blocked = [&](const Scenario::Channel& c,
-                                const std::set<std::pair<int, int>>& nodes,
-                                const std::set<std::pair<int, int>>& links) {
+  // Does every lane of the channel's path stay failed under nodes/links,
+  // on the fabric `now` models?
+  const auto path_blocked = [&s](const Topology& now,
+                                 const Scenario::Channel& c,
+                                 const FailedSet& nodes,
+                                 const FailedSet& links) {
+    const auto cut = [&](int mod) {
+      return now.failed_access(mod, nodes).has_value();
+    };
     switch (s.arch) {
       case ArchKind::kRmboc: {
-        const auto src = st.rmboc_slot.find(c.src);
-        const auto dst = st.rmboc_slot.find(c.dst);
-        if (src == st.rmboc_slot.end() || dst == st.rmboc_slot.end())
-          return false;
-        if (node_failed_1d(nodes, src->second) ||
-            node_failed_1d(nodes, dst->second))
-          return true;
-        const int lo = std::min(src->second, dst->second);
-        const int hi = std::max(src->second, dst->second);
-        for (int seg = lo; seg < hi; ++seg) {
-          if (seg < 0 || seg >= rm_slots - 1) continue;
-          int up = rm_buses;
-          for (const auto& f : links)
-            if (f.first == seg) --up;
-          if (up <= 0) return true;
-        }
-        return false;
-      }
-      case ArchKind::kBuscom: {
-        const int buses = static_cast<int>(s.setting("buses", 4));
-        if (buses < 1) return false;
-        for (int b = 0; b < buses; ++b)
-          if (!node_failed_1d(nodes, b)) return false;
-        return true;
-      }
-      case ArchKind::kDynoc: {
-        for (const int mod : {c.src, c.dst}) {
-          const auto it = st.dynoc_place.find(mod);
-          if (it == st.dynoc_place.end()) continue;
-          int w = 1, h = 1;
-          for (const auto& m : s.modules)
-            if (m.id == mod) {
-              w = m.width;
-              h = m.height;
-            }
-          const fpga::Rect r{it->second.x, it->second.y, w, h};
-          for (const auto& f : nodes)
-            if (r.contains({f.first, f.second})) return true;
-        }
-        return false;
-      }
-      case ArchKind::kConochi: {
-        for (const int mod : {c.src, c.dst}) {
-          const auto it = st.conochi_attach.find(mod);
-          if (it != st.conochi_attach.end() &&
-              nodes.count({it->second.x, it->second.y}))
+        const auto span = now.span(c.src, c.dst);
+        if (!span) return false;
+        if (cut(c.src) || cut(c.dst)) return true;
+        for (int seg = span->lo; seg < span->hi; ++seg)
+          if (seg >= 0 && seg < now.segments() &&
+              now.lanes_up(seg, links) <= 0)
             return true;
-        }
         return false;
       }
+      case ArchKind::kBuscom:
+        return now.buses >= 1 && now.buses_up(nodes) == 0;
+      case ArchKind::kDynoc:
+      case ArchKind::kConochi:
+        return cut(c.src) || cut(c.dst);
       case ArchKind::kNone: return false;
     }
     return false;
   };
 
   // Blocked now *and* at every fault boundary inside the drain budget?
-  const auto blocked_through = [&](const Scenario::Channel& c, long long t) {
+  const auto blocked_through = [&](const Topology& now,
+                                   const Scenario::Channel& c, long long t) {
     auto nodes = st.failed_nodes;
     auto links = st.failed_links;
-    if (!path_blocked(c, nodes, links)) return false;
+    if (!path_blocked(now, c, nodes, links)) return false;
     for (const auto& f : faults) {
       if (f.at <= t) continue;
       if (f.at >= t + drain_budget) break;  // faults are time-sorted
       apply_fault(nodes, links, f);
-      if (!path_blocked(c, nodes, links)) return false;
+      if (!path_blocked(now, c, nodes, links)) return false;
     }
     return true;
   };
 
   const auto check_drain = [&](const Scenario::TimedEvent& e, int victim,
                                const char* what) {
+    // The fabric as it stands, modelled once a channel of the victim
+    // needs it.
+    std::optional<Scenario> snap;
+    std::optional<Topology> now;
     for (const auto& c : st.channels) {
       if (c.src != victim && c.dst != victim) continue;
-      if (!blocked_through(c, e.at)) continue;
+      if (!now) now.emplace(snap.emplace(make_snapshot(s, st)));
+      if (!blocked_through(*now, c, e.at)) continue;
       instant("SCH003", Severity::kWarning, e,
               std::string(what) + " of " + module_str(victim) +
                   " starts a drain of channel " + std::to_string(c.src) +
@@ -320,32 +278,12 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
           return;
         }
         go_live(e.a, t);
-        switch (s.arch) {
-          case ArchKind::kRmboc:
-            if (e.has_place) {
-              st.rmboc_slot[e.a] = e.b;
-            } else if (const auto it = s.rmboc_slot.find(e.a);
-                       it != s.rmboc_slot.end()) {
-              st.rmboc_slot[e.a] = it->second;
-            }
-            break;
-          case ArchKind::kDynoc:
-            if (e.has_place) {
-              st.dynoc_place[e.a] = {e.b, e.c};
-            } else if (const auto it = s.dynoc_place.find(e.a);
-                       it != s.dynoc_place.end()) {
-              st.dynoc_place[e.a] = it->second;
-            }
-            break;
-          case ArchKind::kConochi:
-            if (e.has_place) {
-              st.conochi_attach[e.a] = {e.b, e.c};
-            } else if (const auto it = s.conochi_attach.find(e.a);
-                       it != s.conochi_attach.end()) {
-              st.conochi_attach[e.a] = it->second;
-            }
-            break;
-          default: break;
+        if (e.has_place) {
+          // An RMBoC load names a slot, a DyNoC/CoNoChi load a tile.
+          st.placement[e.a] = {e.b, s.arch == ArchKind::kRmboc ? 0 : e.c};
+        } else if (const auto it = s.placement.find(e.a);
+                   it != s.placement.end()) {
+          st.placement[e.a] = it->second;
         }
         return;
       }
@@ -359,9 +297,7 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
         check_drain(e, e.a, "unload");
         close_channels_of(e.a, e, "unload");
         go_dead(e.a, t);
-        st.rmboc_slot.erase(e.a);
-        st.dynoc_place.erase(e.a);
-        st.conochi_attach.erase(e.a);
+        st.placement.erase(e.a);
         release_slots_of(e.a);
         return;
       }
@@ -383,20 +319,10 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
         // The incoming module inherits the victim's placement (that is
         // what a swap means); BUS-COM static slots are released — the
         // newcomer must earn its own.
-        if (const auto it = st.rmboc_slot.find(e.a);
-            it != st.rmboc_slot.end()) {
-          st.rmboc_slot[e.b] = it->second;
-          st.rmboc_slot.erase(e.a);
-        }
-        if (const auto it = st.dynoc_place.find(e.a);
-            it != st.dynoc_place.end()) {
-          st.dynoc_place[e.b] = it->second;
-          st.dynoc_place.erase(e.a);
-        }
-        if (const auto it = st.conochi_attach.find(e.a);
-            it != st.conochi_attach.end()) {
-          st.conochi_attach[e.b] = it->second;
-          st.conochi_attach.erase(e.a);
+        if (const auto it = st.placement.find(e.a);
+            it != st.placement.end()) {
+          st.placement[e.b] = it->second;
+          st.placement.erase(e.a);
         }
         release_slots_of(e.a);
         go_dead(e.a, t);
@@ -470,7 +396,6 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
   const auto run_window = [&](long long wb, long long we) {
     DiagnosticSink tmp;
     const Scenario snap = make_snapshot(s, st);
-    Verifier::check_all(snap, tmp);
     const TimelineStep step{snap,       s,
                             wb,         we,
                             st.channels, st.demand,

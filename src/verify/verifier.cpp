@@ -1,10 +1,6 @@
 #include "verify/verifier.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
 #include <map>
-#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,56 +8,32 @@
 #include "core/comm_arch.hpp"
 #include "verify/envelope.hpp"
 #include "verify/fault_plan.hpp"
+#include "verify/topology.hpp"
 
 namespace recosim::verify {
 
 namespace {
 
-std::string module_str(int id) { return "module " + std::to_string(id); }
-
 std::string point_str(fpga::Point p) {
   return "(" + std::to_string(p.x) + "," + std::to_string(p.y) + ")";
 }
 
-const Scenario::Module* find_module(const Scenario& s, int id) {
-  for (const auto& m : s.modules)
-    if (m.id == id) return &m;
-  return nullptr;
-}
-
-}  // namespace
-
-void Verifier::check_all(const Scenario& s, DiagnosticSink& sink) {
-  switch (s.arch) {
-    case ArchKind::kBuscom: check_buscom(s, sink); break;
-    case ArchKind::kRmboc: check_rmboc(s, sink); break;
-    case ArchKind::kDynoc: check_dynoc(s, sink); break;
-    case ArchKind::kConochi: check_conochi(s, sink); break;
-    case ArchKind::kNone: break;
-  }
-  check_floorplan(s, sink);
-}
-
-void Verifier::check_all(const core::CommArchitecture& arch,
-                         DiagnosticSink& sink) {
-  arch.verify_invariants(sink);
+std::string channel_str(const Scenario::Channel& c) {
+  return "channel " + std::to_string(c.src) + "->" + std::to_string(c.dst);
 }
 
 // ---------------------------------------------------------------------------
 // BUS-COM
 
-void Verifier::check_buscom(const Scenario& s, DiagnosticSink& sink) {
+void check_buscom(const Topology& t, DiagnosticSink& sink) {
+  const Scenario& s = t.scenario();
   const std::string comp = "buscom";
-  const int buses = static_cast<int>(s.setting("buses", 4));
-  const int slots_per_round =
-      static_cast<int>(s.setting("slots_per_round", 32));
-  const double cycles_per_slot = s.setting("cycles_per_slot", 16);
-  const double in_width_bits = s.setting("in_width_bits", 32);
-  const double dynamic_fraction = s.setting("dynamic_fraction", 0.25);
+  const int buses = t.buses;
+  const int slots_per_round = t.slots_per_round;
 
-  if (buses < 1 || slots_per_round < 1 || cycles_per_slot < 1 ||
-      in_width_bits < 8 || dynamic_fraction < 0.0 ||
-      dynamic_fraction > 1.0) {
+  if (buses < 1 || slots_per_round < 1 || t.cycles_per_slot < 1 ||
+      t.in_width_bits < 8 || t.dynamic_fraction < 0.0 ||
+      t.dynamic_fraction > 1.0) {
     sink.report("BUS006", Severity::kError, {comp, "config"},
                 "configuration value outside its valid range",
                 "buses/slots/cycles >= 1, in_width_bits >= 8, "
@@ -82,8 +54,7 @@ void Verifier::check_buscom(const Scenario& s, DiagnosticSink& sink) {
   for (const auto& a : s.slots) {
     const std::string obj =
         "bus " + std::to_string(a.bus) + " slot " + std::to_string(a.slot);
-    if (a.bus < 0 || a.bus >= buses || a.slot < 0 ||
-        a.slot >= slots_per_round) {
+    if (!t.slot_in_range(a)) {
       sink.report("BUS006", Severity::kError, {comp, obj},
                   "slot assignment outside the configured " +
                       std::to_string(buses) + " buses x " +
@@ -111,9 +82,7 @@ void Verifier::check_buscom(const Scenario& s, DiagnosticSink& sink) {
   }
 
   // Guaranteed-bandwidth feasibility per module.
-  const double slot_bits = cycles_per_slot * in_width_bits;
-  const double payload_per_slot =
-      std::clamp((slot_bits - 20.0) / 8.0, 1.0, 256.0);
+  const double payload_per_slot = t.slot_payload();
   for (const auto& m : s.modules) {
     const int owned = static_slots.count(m.id) ? static_slots[m.id] : 0;
     if (owned == 0) {
@@ -139,13 +108,15 @@ void Verifier::check_buscom(const Scenario& s, DiagnosticSink& sink) {
 // ---------------------------------------------------------------------------
 // RMBoC
 
-void Verifier::check_rmboc(const Scenario& s, DiagnosticSink& sink) {
+void check_rmboc(const Topology& t, DiagnosticSink& sink) {
+  const Scenario& s = t.scenario();
   const std::string comp = "rmboc";
-  const int slots = static_cast<int>(s.setting("slots", 4));
-  const int buses = static_cast<int>(s.setting("buses", 4));
+  const int slots = t.slots;
+  const int buses = t.buses;
 
   std::map<int, int> module_at_slot;  // slot -> module
-  for (const auto& [mod, slot] : s.rmboc_slot) {
+  for (const auto& [mod, at] : s.placement) {
+    const int slot = at.x;
     if (slot < 0 || slot >= slots) {
       sink.report("RMB006", Severity::kError, {comp, module_str(mod)},
                   "placed in slot " + std::to_string(slot) +
@@ -161,41 +132,32 @@ void Verifier::check_rmboc(const Scenario& s, DiagnosticSink& sink) {
   }
 
   // Per-segment lane demand of the planned circuits: d_max = s*k shares.
-  std::vector<int> demand(static_cast<std::size_t>(std::max(0, slots - 1)),
-                          0);
   for (const auto& c : s.channels) {
-    const std::string obj = "channel " + std::to_string(c.src) + "->" +
-                            std::to_string(c.dst);
-    const auto src = s.rmboc_slot.find(c.src);
-    const auto dst = s.rmboc_slot.find(c.dst);
-    if (src == s.rmboc_slot.end() || dst == s.rmboc_slot.end()) {
+    const std::string obj = channel_str(c);
+    const auto src = t.placement(c.src);
+    const auto dst = t.placement(c.dst);
+    if (!src || !dst) {
       sink.report("RMB002", Severity::kError, {comp, obj},
                   "channel endpoint is not placed in any slot",
                   "place both modules before planning the circuit");
       continue;
     }
-    if (src->second == dst->second) continue;  // loopback, uses no segment
+    if (src->x == dst->x) continue;  // loopback, uses no segment
     if (c.lanes < 1) {
       sink.report("RMB001", Severity::kError, {comp, obj},
                   "channel requests " + std::to_string(c.lanes) + " lanes");
       continue;
     }
-    int lanes = c.lanes;
-    if (lanes > buses) {
+    if (c.lanes > buses) {
       sink.report("RMB005", Severity::kWarning, {comp, obj},
-                  "channel requests " + std::to_string(lanes) +
+                  "channel requests " + std::to_string(c.lanes) +
                       " parallel lanes but the architecture has only " +
                       std::to_string(buses) +
                       " buses; the request will be clamped",
                   "request at most " + std::to_string(buses) + " lanes");
-      lanes = buses;
     }
-    const int lo = std::min(src->second, dst->second);
-    const int hi = std::max(src->second, dst->second);
-    for (int seg = lo; seg < hi; ++seg)
-      if (seg >= 0 && seg < static_cast<int>(demand.size()))
-        demand[static_cast<std::size_t>(seg)] += lanes;
   }
+  const std::vector<int> demand = t.segment_lanes(s.channels).held;
   for (std::size_t seg = 0; seg < demand.size(); ++seg) {
     if (demand[seg] <= buses) continue;
     sink.report("RMB003", Severity::kError,
@@ -211,24 +173,24 @@ void Verifier::check_rmboc(const Scenario& s, DiagnosticSink& sink) {
 // ---------------------------------------------------------------------------
 // DyNoC
 
-void Verifier::check_dynoc(const Scenario& s, DiagnosticSink& sink) {
+void check_dynoc(const Topology& t, DiagnosticSink& sink) {
+  const Scenario& s = t.scenario();
   const std::string comp = "dynoc";
-  const int width = static_cast<int>(s.setting("width", 5));
-  const int height = static_cast<int>(s.setting("height", 5));
+  const int width = t.width;
+  const int height = t.height;
 
   struct Placed {
     int id;
     fpga::Rect rect;
   };
   std::vector<Placed> placed;
-  for (const auto& [mod, at] : s.dynoc_place) {
-    const Scenario::Module* m = find_module(s, mod);
-    if (!m) continue;  // the parser already reported LNT002
-    const fpga::Rect r{at.x, at.y, m->width, m->height};
+  for (const auto& [mod, at] : s.placement) {
+    if (!s.has_module(mod)) continue;  // the parser already reported LNT002
+    const fpga::Rect r = *t.footprint(mod);
     const std::string obj = module_str(mod) + " " + std::to_string(r.w) +
                             "x" + std::to_string(r.h) + "@" +
                             point_str({r.x, r.y});
-    if (m->width + 2 > width || m->height + 2 > height) {
+    if (r.w + 2 > width || r.h + 2 > height) {
       sink.report("DYN005", Severity::kError, {comp, obj},
                   "module plus its router ring can never fit the " +
                       std::to_string(width) + "x" + std::to_string(height) +
@@ -275,56 +237,20 @@ void Verifier::check_dynoc(const Scenario& s, DiagnosticSink& sink) {
     }
   }
 
-  // Reachability over the router grid: modules with area > 1 remove their
-  // routers and become obstacles. BFS flood from each module's ring.
-  const auto router_open = [&](fpga::Point p) {
-    if (p.x < 0 || p.x >= width || p.y < 0 || p.y >= height) return false;
-    for (const auto& pl : placed)
-      if (pl.rect.area() > 1 && pl.rect.contains(p)) return false;
-    return true;
-  };
-  const auto ring_routers = [&](const Placed& pl) {
-    std::vector<fpga::Point> out;
-    if (pl.rect.area() == 1) {
-      out.push_back({pl.rect.x, pl.rect.y});
-      return out;
-    }
-    const fpga::Rect ring = pl.rect.inflated(1);
-    for (int y = ring.y; y < ring.bottom(); ++y)
-      for (int x = ring.x; x < ring.right(); ++x) {
-        const fpga::Point p{x, y};
-        if (!pl.rect.contains(p) && router_open(p)) out.push_back(p);
-      }
-    return out;
-  };
+  // Reachability over the router mesh, in which the modules that passed
+  // the checks above are the obstacles: flood from each module's access
+  // routers once and test every later module against it.
+  if (placed.size() < 2) return;
+  std::vector<fpga::Rect> rects;
+  for (const auto& pl : placed) rects.push_back(pl.rect);
+  const DynocMesh mesh = t.mesh(rects);
   for (std::size_t i = 0; i < placed.size(); ++i) {
-    // Flood from module i's ring once; test every later module against it.
-    std::vector<char> seen(
-        static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
-        0);
-    std::queue<fpga::Point> work;
-    for (const auto& p : ring_routers(placed[i])) {
-      seen[static_cast<std::size_t>(p.y * width + p.x)] = 1;
-      work.push(p);
-    }
-    while (!work.empty()) {
-      const fpga::Point p = work.front();
-      work.pop();
-      const fpga::Point next[4] = {
-          {p.x + 1, p.y}, {p.x - 1, p.y}, {p.x, p.y + 1}, {p.x, p.y - 1}};
-      for (const auto& n : next) {
-        if (!router_open(n)) continue;
-        auto& flag = seen[static_cast<std::size_t>(n.y * width + n.x)];
-        if (flag) continue;
-        flag = 1;
-        work.push(n);
-      }
-    }
+    const std::vector<int> dist =
+        mesh.flood(mesh.access_routers(placed[i].rect), nullptr);
     for (std::size_t j = i + 1; j < placed.size(); ++j) {
       bool reachable = false;
-      for (const auto& p : ring_routers(placed[j]))
-        if (seen[static_cast<std::size_t>(p.y * width + p.x)])
-          reachable = true;
+      for (const auto& p : mesh.access_routers(placed[j].rect))
+        if (dist[mesh.index(p)] >= 0) reachable = true;
       if (reachable) continue;
       sink.report("DYN003", Severity::kError,
                   {comp, module_str(placed[i].id) + " and " +
@@ -339,19 +265,15 @@ void Verifier::check_dynoc(const Scenario& s, DiagnosticSink& sink) {
 // ---------------------------------------------------------------------------
 // CoNoChi
 
-void Verifier::check_conochi(const Scenario& s, DiagnosticSink& sink) {
+void check_conochi(const Topology& t, DiagnosticSink& sink) {
+  const Scenario& s = t.scenario();
   const std::string comp = "conochi";
-  const int gw = static_cast<int>(s.setting("grid_width", 8));
-  const int gh = static_cast<int>(s.setting("grid_height", 8));
+  const int gw = t.grid_width;
+  const int gh = t.grid_height;
   const int n = static_cast<int>(s.switches.size());
 
   const auto in_grid = [&](fpga::Point p) {
     return p.x >= 0 && p.x < gw && p.y >= 0 && p.y < gh;
-  };
-  const auto switch_index = [&](fpga::Point p) {
-    for (int i = 0; i < n; ++i)
-      if (s.switches[static_cast<std::size_t>(i)] == p) return i;
-    return -1;
   };
   for (int i = 0; i < n; ++i) {
     const fpga::Point p = s.switches[static_cast<std::size_t>(i)];
@@ -361,97 +283,25 @@ void Verifier::check_conochi(const Scenario& s, DiagnosticSink& sink) {
                   "switch placed outside the " + std::to_string(gw) + "x" +
                       std::to_string(gh) + " grid");
     }
-    if (switch_index(p) != i) {
+    if (t.switch_index(p) != i) {
       sink.report("CON006", Severity::kError,
                   {comp, "switch " + point_str(p)},
                   "two switches share the tile");
     }
   }
 
-  // Derive the link graph: two switches on the same row/column link when a
-  // declared wire run spans the tiles between them and no switch sits in
-  // between. Port numbering matches the runtime: 0 N, 1 E, 2 S, 3 W.
-  const auto wire_covers = [&](fpga::Point a, fpga::Point b) {
-    // True when one declared straight run covers every tile strictly
-    // between a and b (the run may extend past either endpoint).
-    for (const auto& w : s.wires) {
-      if (a.y == b.y && w.a.y == a.y && w.b.y == a.y) {
-        const int lo = std::min(w.a.x, w.b.x);
-        const int hi = std::max(w.a.x, w.b.x);
-        if (lo <= std::min(a.x, b.x) + 1 && hi >= std::max(a.x, b.x) - 1)
-          return true;
-      }
-      if (a.x == b.x && w.a.x == a.x && w.b.x == a.x) {
-        const int lo = std::min(w.a.y, w.b.y);
-        const int hi = std::max(w.a.y, w.b.y);
-        if (lo <= std::min(a.y, b.y) + 1 && hi >= std::max(a.y, b.y) - 1)
-          return true;
-      }
-    }
-    // Adjacent switches need no wire tile at all.
-    return std::abs(a.x - b.x) + std::abs(a.y - b.y) == 1;
-  };
-  // links[i][port] = peer switch index or -1.
-  std::vector<std::array<int, 4>> links(
-      static_cast<std::size_t>(n), std::array<int, 4>{-1, -1, -1, -1});
-  for (int i = 0; i < n; ++i) {
-    const fpga::Point a = s.switches[static_cast<std::size_t>(i)];
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const fpga::Point b = s.switches[static_cast<std::size_t>(j)];
-      if (a.x != b.x && a.y != b.y) continue;
-      // Reject pairs with a switch strictly between them.
-      bool blocked = false;
-      for (int k = 0; k < n && !blocked; ++k) {
-        if (k == i || k == j) continue;
-        const fpga::Point c = s.switches[static_cast<std::size_t>(k)];
-        if (a.y == b.y && c.y == a.y && c.x > std::min(a.x, b.x) &&
-            c.x < std::max(a.x, b.x))
-          blocked = true;
-        if (a.x == b.x && c.x == a.x && c.y > std::min(a.y, b.y) &&
-            c.y < std::max(a.y, b.y))
-          blocked = true;
-      }
-      if (blocked || !wire_covers(a, b)) continue;
-      int port;
-      if (a.y == b.y)
-        port = b.x > a.x ? 1 : 3;  // E : W
-      else
-        port = b.y > a.y ? 2 : 0;  // S : N
-      links[static_cast<std::size_t>(i)][static_cast<std::size_t>(port)] = j;
-    }
-  }
-
-  // Default tables: BFS shortest path per source, then explicit `route`
-  // overrides (the mechanism for seeding known-bad tables in fixtures).
+  // Default tables, then explicit `route` overrides (the mechanism for
+  // seeding known-bad tables in fixtures).
   std::vector<std::map<int, int>> table(static_cast<std::size_t>(n));
   for (int src = 0; src < n; ++src) {
-    std::vector<int> first_port(static_cast<std::size_t>(n), -1);
-    std::vector<int> dist(static_cast<std::size_t>(n), -1);
-    std::queue<int> work;
-    dist[static_cast<std::size_t>(src)] = 0;
-    work.push(src);
-    while (!work.empty()) {
-      const int u = work.front();
-      work.pop();
-      for (int p = 0; p < 4; ++p) {
-        const int v = links[static_cast<std::size_t>(u)]
-                           [static_cast<std::size_t>(p)];
-        if (v < 0 || dist[static_cast<std::size_t>(v)] >= 0) continue;
-        dist[static_cast<std::size_t>(v)] =
-            dist[static_cast<std::size_t>(u)] + 1;
-        first_port[static_cast<std::size_t>(v)] =
-            u == src ? p : first_port[static_cast<std::size_t>(u)];
-        work.push(v);
-      }
-    }
+    const std::vector<int> first_port = t.first_ports(src);
     for (int dst = 0; dst < n; ++dst)
       if (dst != src && first_port[static_cast<std::size_t>(dst)] >= 0)
         table[static_cast<std::size_t>(src)][dst] =
             first_port[static_cast<std::size_t>(dst)];
   }
   for (const auto& r : s.routes) {
-    const int at = switch_index(r.at);
+    const int at = t.switch_index(r.at);
     const std::string obj = "switch " + point_str(r.at);
     if (at < 0) {
       sink.report("LNT002", Severity::kError, {comp, obj},
@@ -465,8 +315,7 @@ void Verifier::check_conochi(const Scenario& s, DiagnosticSink& sink) {
       continue;
     }
     // CON003: the entry's port must lead somewhere.
-    if (links[static_cast<std::size_t>(at)]
-             [static_cast<std::size_t>(r.port)] < 0) {
+    if (t.port_peer(at, r.port) < 0) {
       sink.report("CON003", Severity::kError, {comp, obj},
                   "route towards switch " + std::to_string(r.dst_switch) +
                       " leaves through port " + std::to_string(r.port) +
@@ -484,8 +333,7 @@ void Verifier::check_conochi(const Scenario& s, DiagnosticSink& sink) {
       int cur = src;
       int port = port0;
       while (cur != dst) {
-        const int next = links[static_cast<std::size_t>(cur)]
-                              [static_cast<std::size_t>(port)];
+        const int next = t.port_peer(cur, port);
         if (next < 0) break;  // dangling (reported above for overrides)
         if (!visited.insert(next).second) {
           sink.report(
@@ -510,8 +358,8 @@ void Verifier::check_conochi(const Scenario& s, DiagnosticSink& sink) {
   // each), and every pair must be connected by the table walk.
   std::map<int, int> module_switch;  // module -> switch index
   std::map<int, int> load;           // switch -> attached modules
-  for (const auto& [mod, pos] : s.conochi_attach) {
-    const int at = switch_index(pos);
+  for (const auto& [mod, pos] : s.placement) {
+    const int at = t.switch_index(pos);
     if (at < 0) {
       sink.report("LNT002", Severity::kError, {comp, module_str(mod)},
                   "attached at " + point_str(pos) +
@@ -531,8 +379,7 @@ void Verifier::check_conochi(const Scenario& s, DiagnosticSink& sink) {
     while (cur != dst) {
       const auto it = table[static_cast<std::size_t>(cur)].find(dst);
       if (it == table[static_cast<std::size_t>(cur)].end()) return false;
-      const int next = links[static_cast<std::size_t>(cur)]
-                            [static_cast<std::size_t>(it->second)];
+      const int next = t.port_peer(cur, it->second);
       if (next < 0 || !visited.insert(next).second) return false;
       cur = next;
     }
@@ -556,7 +403,8 @@ void Verifier::check_conochi(const Scenario& s, DiagnosticSink& sink) {
 // ---------------------------------------------------------------------------
 // Floorplan
 
-void Verifier::check_floorplan(const Scenario& s, DiagnosticSink& sink) {
+void check_floorplan(const Topology& t, DiagnosticSink& sink) {
+  const Scenario& s = t.scenario();
   const std::string comp = "floorplan";
   if (s.device_width > 0 && s.device_height > 0) {
     for (const auto& r : s.regions) {
@@ -571,7 +419,6 @@ void Verifier::check_floorplan(const Scenario& s, DiagnosticSink& sink) {
                       std::to_string(s.device_width) + "x" +
                       std::to_string(s.device_height) + " device");
     }
-    const bool full_column = s.setting("full_column", 1) != 0;
     for (std::size_t i = 0; i < s.regions.size(); ++i) {
       for (std::size_t j = i + 1; j < s.regions.size(); ++j) {
         const auto& a = s.regions[i];
@@ -585,7 +432,7 @@ void Verifier::check_floorplan(const Scenario& s, DiagnosticSink& sink) {
         }
         // Virtex-II reconfigures whole columns: writing one region
         // disturbs every other region sharing its columns (paper §3).
-        if (full_column && a.rect.x < b.rect.right() &&
+        if (t.full_column && a.rect.x < b.rect.right() &&
             b.rect.x < a.rect.right()) {
           sink.report("FLP003", Severity::kWarning,
                       {comp, module_str(a.module) + " and " +
@@ -619,70 +466,17 @@ void Verifier::check_floorplan(const Scenario& s, DiagnosticSink& sink) {
 // the timeline keys on (rule, location, message) to merge findings of
 // adjacent windows into one interval-annotated diagnostic.
 
-namespace {
-
-std::string channel_str(const Scenario::Channel& c) {
-  return "channel " + std::to_string(c.src) + "->" + std::to_string(c.dst);
-}
-
-bool node_failed_1d(const std::set<std::pair<int, int>>& failed, int a) {
-  for (const auto& f : failed)
-    if (f.first == a) return true;
-  return false;
-}
-
-}  // namespace
-
-void Verifier::timeline_step(const TimelineStep& st, DiagnosticSink& sink) {
-  switch (st.snapshot.arch) {
-    case ArchKind::kBuscom: timeline_step_buscom(st, sink); break;
-    case ArchKind::kRmboc: timeline_step_rmboc(st, sink); break;
-    case ArchKind::kDynoc: timeline_step_dynoc(st, sink); break;
-    case ArchKind::kConochi: timeline_step_conochi(st, sink); break;
-    case ArchKind::kNone: break;
-  }
-
-  // FLT005 — cross-architecture: during this window a module that is
-  // actually live has its region failed and no surviving evacuation
-  // target. Sharper than the static plan walk, which must assume every
-  // declared placement is live at once.
-  const std::string comp = to_string(st.snapshot.arch);
-  for (const auto& m : st.snapshot.modules) {
-    if (std::string why =
-            no_evacuation_target(st.snapshot, m.id, st.failed_nodes);
-        !why.empty()) {
-      sink.report("FLT005", Severity::kWarning,
-                  {comp, "module " + std::to_string(m.id)}, why,
-                  "stagger the failures or heal a resource first so an "
-                  "evacuation target survives");
-    }
-  }
-}
-
-void Verifier::timeline_step_buscom(const TimelineStep& st,
-                                    DiagnosticSink& sink) {
+void timeline_buscom(const TimelineStep& st, const Topology& t,
+                     DiagnosticSink& sink) {
   const std::string comp = "buscom";
   const Scenario& s = st.snapshot;
-  const int buses = static_cast<int>(st.full.setting("buses", 4));
-  const int slots_per_round =
-      static_cast<int>(st.full.setting("slots_per_round", 32));
-  const double cycles_per_slot = st.full.setting("cycles_per_slot", 16);
-  const double in_width_bits = st.full.setting("in_width_bits", 32);
 
   // SCH001 — per-epoch guaranteed-bandwidth feasibility: the demand the
   // current epoch declares against the slots the module owns *now* (the
   // static BUS005 only sees the initial table; slot/unslot events and
   // epochs change both sides over time).
-  std::map<int, int> static_slots;
-  std::set<std::pair<int, int>> seen;
-  for (const auto& a : s.slots) {
-    if (a.bus < 0 || a.bus >= buses || a.slot < 0 ||
-        a.slot >= slots_per_round)
-      continue;  // BUS006, reported by the snapshot checker
-    if (seen.insert({a.bus, a.slot}).second) ++static_slots[a.owner];
-  }
-  const double payload_per_slot =
-      std::clamp((cycles_per_slot * in_width_bits - 20.0) / 8.0, 1.0, 256.0);
+  std::map<int, int> static_slots = t.slot_shares(st.failed_nodes).owned;
+  const double payload_per_slot = t.slot_payload();
   for (const auto& m : s.modules) {
     const auto d = st.demand.find(m.id);
     if (d == st.demand.end()) continue;
@@ -700,39 +494,29 @@ void Verifier::timeline_step_buscom(const TimelineStep& st,
 
   // TMP001 — a channel stays open while every bus is failed: nothing can
   // carry its traffic for the whole window.
-  if (!st.channels.empty() && buses > 0) {
-    int down = 0;
-    for (int b = 0; b < buses; ++b)
-      if (node_failed_1d(st.failed_nodes, b)) ++down;
-    if (down >= buses) {
-      for (const auto& c : st.channels)
-        sink.report("TMP001", Severity::kWarning, {comp, channel_str(c)},
-                    "every bus is failed while the channel is open; its "
-                    "traffic can only stall",
-                    "close the channel or heal a bus first");
-    }
+  if (!st.channels.empty() && t.buses > 0 &&
+      t.buses_up(st.failed_nodes) == 0) {
+    for (const auto& c : st.channels)
+      sink.report("TMP001", Severity::kWarning, {comp, channel_str(c)},
+                  "every bus is failed while the channel is open; its "
+                  "traffic can only stall",
+                  "close the channel or heal a bus first");
   }
-
-  if (st.envelope) envelope_step_buscom(st, sink);
 }
 
-void Verifier::timeline_step_rmboc(const TimelineStep& st,
-                                   DiagnosticSink& sink) {
+void timeline_rmboc(const TimelineStep& st, const Topology& t,
+                    DiagnosticSink& sink) {
   const std::string comp = "rmboc";
-  const Scenario& s = st.snapshot;
-  const int slots = static_cast<int>(st.full.setting("slots", 4));
-  const int buses = static_cast<int>(st.full.setting("buses", 4));
+  const int buses = t.buses;
 
   // Per-segment lane demand of the channels live in this window (the
   // static RMB003 sums the declared plan; here only what is actually open
   // counts — and the supply shrinks by the window's failed links).
-  std::vector<int> demand(static_cast<std::size_t>(std::max(0, slots - 1)),
-                          0);
   for (const auto& c : st.channels) {
     const std::string obj = channel_str(c);
-    const auto src = s.rmboc_slot.find(c.src);
-    const auto dst = s.rmboc_slot.find(c.dst);
-    if (src == s.rmboc_slot.end() || dst == s.rmboc_slot.end()) {
+    const auto src = t.placement(c.src);
+    const auto dst = t.placement(c.dst);
+    if (!src || !dst) {
       sink.report("RMB002", Severity::kError, {comp, obj},
                   "channel endpoint is not placed in any slot",
                   "place both modules before planning the circuit");
@@ -740,42 +524,32 @@ void Verifier::timeline_step_rmboc(const TimelineStep& st,
     }
     // TMP001 — an endpoint's cross-point is failed while the channel is
     // open.
-    if (node_failed_1d(st.failed_nodes, src->second)) {
+    if (t.failed_access(c.src, st.failed_nodes)) {
       sink.report("TMP001", Severity::kWarning, {comp, obj},
-                  "cross-point slot " + std::to_string(src->second) +
+                  "cross-point slot " + std::to_string(src->x) +
                       " of module " + std::to_string(c.src) +
                       " is failed while the channel is open",
                   "close the channel or heal the cross-point first");
     }
-    if (dst->second != src->second &&
-        node_failed_1d(st.failed_nodes, dst->second)) {
+    if (dst->x != src->x && t.failed_access(c.dst, st.failed_nodes)) {
       sink.report("TMP001", Severity::kWarning, {comp, obj},
-                  "cross-point slot " + std::to_string(dst->second) +
+                  "cross-point slot " + std::to_string(dst->x) +
                       " of module " + std::to_string(c.dst) +
                       " is failed while the channel is open",
                   "close the channel or heal the cross-point first");
     }
-    if (src->second == dst->second) continue;  // loopback, uses no segment
+    if (src->x == dst->x) continue;  // loopback, uses no segment
     if (c.lanes < 1) {
       sink.report("RMB001", Severity::kError, {comp, obj},
                   "channel requests " + std::to_string(c.lanes) + " lanes");
-      continue;
     }
-    int lanes = std::min(c.lanes, buses);  // RMB005 covers the clamp
-    const int lo = std::min(src->second, dst->second);
-    const int hi = std::max(src->second, dst->second);
-    for (int seg = lo; seg < hi; ++seg)
-      if (seg >= 0 && seg < static_cast<int>(demand.size()))
-        demand[static_cast<std::size_t>(seg)] += lanes;
   }
   // TMP004 — d_max window check: lanes the live circuits need vs lanes
   // still up on each segment.
+  const std::vector<int> demand = t.segment_lanes(st.channels).held;
   for (std::size_t seg = 0; seg < demand.size(); ++seg) {
     if (demand[seg] == 0) continue;
-    int up = buses;
-    for (const auto& f : st.failed_links)
-      if (f.first == static_cast<int>(seg)) --up;
-    if (up < 0) up = 0;
+    const int up = t.lanes_up(static_cast<int>(seg), st.failed_links);
     if (demand[seg] <= up) continue;
     sink.report("TMP004", Severity::kError,
                 {comp, "segment " + std::to_string(seg)},
@@ -785,62 +559,97 @@ void Verifier::timeline_step_rmboc(const TimelineStep& st,
                     std::to_string(buses) + " are up",
                 "stagger the circuits in time or heal the segment first");
   }
-
-  if (st.envelope) envelope_step_rmboc(st, sink);
 }
 
-void Verifier::timeline_step_dynoc(const TimelineStep& st,
-                                   DiagnosticSink& sink) {
-  const std::string comp = "dynoc";
-  const Scenario& s = st.snapshot;
+void timeline_dynoc(const TimelineStep& st, const Topology& t,
+                    DiagnosticSink& sink) {
   // TMP001 — a failed router inside an endpoint's footprint takes its
   // access point down while the channel is open. (Failed ring routers are
   // survivable: S-XY detours around them.)
   for (const auto& c : st.channels) {
     for (const int mod : {c.src, c.dst}) {
-      const auto it = s.dynoc_place.find(mod);
-      if (it == s.dynoc_place.end()) continue;
-      const Scenario::Module* m = find_module(s, mod);
-      const fpga::Rect r{it->second.x, it->second.y, m ? m->width : 1,
-                         m ? m->height : 1};
-      for (const auto& f : st.failed_nodes) {
-        if (!r.contains({f.first, f.second})) continue;
-        sink.report("TMP001", Severity::kWarning, {comp, channel_str(c)},
-                    "access router (" + std::to_string(f.first) + "," +
-                        std::to_string(f.second) + ") of module " +
+      if (const auto f = t.failed_access(mod, st.failed_nodes)) {
+        sink.report("TMP001", Severity::kWarning, {"dynoc", channel_str(c)},
+                    "access router " + point_str(*f) + " of module " +
                         std::to_string(mod) +
                         " is failed while the channel is open",
                     "close the channel or heal the router first");
-        break;  // one diagnostic per endpoint is enough
       }
       if (c.src == c.dst) break;
     }
   }
-
-  if (st.envelope) envelope_step_dynoc(st, sink);
 }
 
-void Verifier::timeline_step_conochi(const TimelineStep& st,
-                                     DiagnosticSink& sink) {
-  const std::string comp = "conochi";
-  const Scenario& s = st.snapshot;
+void timeline_conochi(const TimelineStep& st, const Topology& t,
+                      DiagnosticSink& sink) {
   // TMP001 — an endpoint's attach switch is failed while the channel is
   // open: the module is cut off no matter what the tables say.
   for (const auto& c : st.channels) {
     for (const int mod : {c.src, c.dst}) {
-      const auto it = s.conochi_attach.find(mod);
-      if (it == s.conochi_attach.end()) continue;
-      if (!st.failed_nodes.count({it->second.x, it->second.y})) continue;
-      sink.report("TMP001", Severity::kWarning, {comp, channel_str(c)},
-                  "attach switch " + point_str(it->second) + " of module " +
-                      std::to_string(mod) +
-                      " is failed while the channel is open",
-                  "close the channel or heal the switch first");
+      if (const auto f = t.failed_access(mod, st.failed_nodes)) {
+        sink.report("TMP001", Severity::kWarning, {"conochi", channel_str(c)},
+                    "attach switch " + point_str(*f) + " of module " +
+                        std::to_string(mod) +
+                        " is failed while the channel is open",
+                    "close the channel or heal the switch first");
+      }
       if (c.src == c.dst) break;
     }
   }
+}
 
-  if (st.envelope) envelope_step_conochi(st, sink);
+void check_snapshot(const Topology& t, DiagnosticSink& sink) {
+  switch (t.scenario().arch) {
+    case ArchKind::kBuscom: check_buscom(t, sink); break;
+    case ArchKind::kRmboc: check_rmboc(t, sink); break;
+    case ArchKind::kDynoc: check_dynoc(t, sink); break;
+    case ArchKind::kConochi: check_conochi(t, sink); break;
+    case ArchKind::kNone: break;
+  }
+  check_floorplan(t, sink);
+}
+
+}  // namespace
+
+void Verifier::check_all(const Scenario& s, DiagnosticSink& sink) {
+  check_snapshot(Topology(s), sink);
+}
+
+void Verifier::check_all(const core::CommArchitecture& arch,
+                         DiagnosticSink& sink) {
+  arch.verify_invariants(sink);
+}
+
+void Verifier::check_floorplan(const Scenario& s, DiagnosticSink& sink) {
+  verify::check_floorplan(Topology(s), sink);
+}
+
+void Verifier::timeline_step(const TimelineStep& st, DiagnosticSink& sink) {
+  const Topology t(st.snapshot);
+  check_snapshot(t, sink);
+  switch (st.snapshot.arch) {
+    case ArchKind::kBuscom: timeline_buscom(st, t, sink); break;
+    case ArchKind::kRmboc: timeline_rmboc(st, t, sink); break;
+    case ArchKind::kDynoc: timeline_dynoc(st, t, sink); break;
+    case ArchKind::kConochi: timeline_conochi(st, t, sink); break;
+    case ArchKind::kNone: break;
+  }
+  if (st.envelope) envelope_step(st, t, sink);
+
+  // FLT005 — cross-architecture: during this window a module that is
+  // actually live has its region failed and no surviving evacuation
+  // target. Sharper than the static plan walk, which must assume every
+  // declared placement is live at once.
+  const std::string comp = to_string(st.snapshot.arch);
+  for (const auto& m : st.snapshot.modules) {
+    if (std::string why = no_evacuation_target(t, m.id, st.failed_nodes);
+        !why.empty()) {
+      sink.report("FLT005", Severity::kWarning, {comp, module_str(m.id)},
+                  why,
+                  "stagger the failures or heal a resource first so an "
+                  "evacuation target survives");
+    }
+  }
 }
 
 }  // namespace recosim::verify

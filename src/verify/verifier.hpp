@@ -16,11 +16,11 @@ namespace recosim::verify {
 
 struct EnvelopeParams;
 
-/// Context of one timeline window handed to the per-architecture
-/// timeline-step hooks (src/verify/timeline.cpp): the abstract fabric
-/// state projected onto a snapshot Scenario — live modules, their
-/// current placements and the current slot table — plus the temporal
-/// extras a snapshot cannot carry. The hooks report without window
+/// Context of one timeline window handed to Verifier::timeline_step by
+/// the timeline (src/verify/timeline.cpp): the abstract fabric state
+/// projected onto a snapshot Scenario — live modules, their current
+/// placements and the current slot table — plus the temporal extras a
+/// snapshot cannot carry. The window's rules report without window
 /// annotations; the timeline merges findings of adjacent windows and
 /// fills the intervals in.
 struct TimelineStep {
@@ -32,8 +32,8 @@ struct TimelineStep {
   const std::map<int, double>& demand;  ///< current epoch demand
   const std::set<std::pair<int, int>>& failed_nodes;
   const std::set<std::pair<int, int>>& failed_links;
-  /// When set, the matching envelope_step_* pass (src/verify/envelope.hpp)
-  /// runs after the architecture's temporal rules.
+  /// When set, the envelope pass (src/verify/envelope.hpp) runs after the
+  /// architecture's temporal rules.
   const EnvelopeParams* envelope = nullptr;
 };
 
@@ -56,26 +56,14 @@ class Verifier {
   static void check_all(const core::CommArchitecture& arch,
                         DiagnosticSink& sink);
 
-  // Individual passes (exposed for targeted tests).
-  static void check_buscom(const Scenario& s, DiagnosticSink& sink);
-  static void check_rmboc(const Scenario& s, DiagnosticSink& sink);
-  static void check_dynoc(const Scenario& s, DiagnosticSink& sink);
-  static void check_conochi(const Scenario& s, DiagnosticSink& sink);
+  /// The cross-cutting floorplan checks alone (FLP001..FLP004).
   static void check_floorplan(const Scenario& s, DiagnosticSink& sink);
 
-  /// Timeline-window pass: cross-event rules the snapshot checkers above
-  /// cannot see — live-channel supply vs demand under the window's failed
-  /// resources (TMP001/TMP004), per-epoch bandwidth feasibility (SCH001).
-  /// Dispatches on the snapshot's architecture like check_all.
+  /// Timeline-window pass: check_all on the window's snapshot, then the
+  /// cross-event rules a snapshot cannot show — live-channel supply vs
+  /// demand under the window's failed resources (TMP001/TMP004),
+  /// per-epoch bandwidth feasibility (SCH001) — and the envelope pass.
   static void timeline_step(const TimelineStep& st, DiagnosticSink& sink);
-  static void timeline_step_buscom(const TimelineStep& st,
-                                   DiagnosticSink& sink);
-  static void timeline_step_rmboc(const TimelineStep& st,
-                                  DiagnosticSink& sink);
-  static void timeline_step_dynoc(const TimelineStep& st,
-                                  DiagnosticSink& sink);
-  static void timeline_step_conochi(const TimelineStep& st,
-                                    DiagnosticSink& sink);
 };
 
 }  // namespace recosim::verify

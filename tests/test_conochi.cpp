@@ -6,11 +6,7 @@
 namespace recosim::conochi {
 namespace {
 
-fpga::HardwareModule mod() {
-  fpga::HardwareModule m;
-  m.name = "m";
-  return m;
-}
+fpga::HardwareModule mod() { return {.name = "m"}; }
 
 proto::Packet pkt(fpga::ModuleId src, fpga::ModuleId dst,
                   std::uint32_t bytes) {

@@ -7,11 +7,7 @@ namespace recosim::dynoc {
 namespace {
 
 fpga::HardwareModule mod(int w = 1, int h = 1) {
-  fpga::HardwareModule m;
-  m.name = "m";
-  m.width_clbs = w;
-  m.height_clbs = h;
-  return m;
+  return {.name = "m", .width_clbs = w, .height_clbs = h};
 }
 
 proto::Packet pkt(fpga::ModuleId src, fpga::ModuleId dst,

@@ -231,7 +231,9 @@ TEST(EventQueue, LargeCallbacksFallBackToHeap) {
 class OrderProbe final : public Component {
  public:
   OrderProbe(Kernel& k, int id, std::vector<int>& log)
-      : Component(k, "p" + std::to_string(id)), id_(id), log_(log) {}
+      : Component(k, std::string("p").append(std::to_string(id))),
+        id_(id),
+        log_(log) {}
   void eval() override { log_.push_back(id_); }
 
  private:

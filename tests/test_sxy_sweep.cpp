@@ -145,9 +145,12 @@ SweepOutcome run_sweep_point(const SweepParams& params) {
 }
 
 std::string sweep_name(const ::testing::TestParamInfo<SweepParams>& info) {
-  return "a" + std::to_string(info.param.array) + "_s" +
-         std::to_string(info.param.seed) + "_o" +
-         std::to_string(info.param.obstacles);
+  return std::string("a")
+      .append(std::to_string(info.param.array))
+      .append("_s")
+      .append(std::to_string(info.param.seed))
+      .append("_o")
+      .append(std::to_string(info.param.obstacles));
 }
 
 class SxySweep : public ::testing::TestWithParam<SweepParams> {};

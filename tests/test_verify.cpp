@@ -15,6 +15,7 @@
 #include "verify/lint_driver.hpp"
 #include "verify/rules.hpp"
 #include "verify/scenario.hpp"
+#include "verify/topology.hpp"
 #include "verify/verifier.hpp"
 
 namespace recosim::verify {
@@ -241,11 +242,7 @@ TEST(StaticChecks, FullColumnSharingWarnsFLP003) {
 
 // ---- Runtime invariants of live architectures. --------------------------
 
-fpga::HardwareModule mod() {
-  fpga::HardwareModule m;
-  m.name = "m";
-  return m;
-}
+fpga::HardwareModule mod() { return {.name = "m"}; }
 
 TEST(RuntimeVerify, HealthyBuscomHasNoDiagnostics) {
   sim::Kernel kernel;
@@ -534,6 +531,70 @@ TEST(LintDriver, FreshBaselineWriteAcknowledgesItsFindings) {
   ASSERT_GT(outcome.sink.error_count(), 0u);
   EXPECT_EQ(outcome.exit_code(/*werror=*/true, /*baseline_written=*/true),
             0);
+}
+
+// ---- The scenario model, on cases no fixture reaches. ------------------
+
+Scenario parse_ok(const std::string& text) {
+  DiagnosticSink sink;
+  auto s = parse_scenario(text, "inline.rcs", sink);
+  EXPECT_TRUE(s.has_value() && sink.empty()) << sink.to_text();
+  return s ? *s : Scenario{};
+}
+
+TEST(TopologyModel, AdjacentConochiSwitchesLinkWithoutAWire) {
+  const Scenario s = parse_ok("arch conochi\nswitch 1 1\nswitch 2 1\n");
+  const Topology t(s);
+  EXPECT_EQ(t.port_peer(0, 1), 1);  // east
+  EXPECT_EQ(t.port_peer(1, 3), 0);  // west
+  EXPECT_EQ(t.switch_distance(0, 1, nullptr), 1);
+}
+
+TEST(TopologyModel, ASwitchInLineBlocksTheLinkPastIt) {
+  const Scenario s = parse_ok(
+      "arch conochi\nswitch 1 1\nswitch 3 1\nswitch 5 1\nwire 2 1 4 1\n");
+  const Topology t(s);
+  // The run covers every tile between the outer switches, but the middle
+  // one sits in between: the outer pair links only through it.
+  EXPECT_EQ(t.port_peer(0, 1), 1);
+  EXPECT_EQ(t.port_peer(2, 3), 1);
+  EXPECT_EQ(t.switch_distance(0, 2, nullptr), 2);
+  const FailedSet middle{{3, 1}};
+  EXPECT_EQ(t.switch_distance(0, 2, &middle), -1);
+}
+
+TEST(TopologyModel, AWireRunOneTileShortDoesNotLink) {
+  const Scenario shy = parse_ok(
+      "arch conochi\nswitch 1 1\nswitch 5 1\nwire 2 1 3 1\n");
+  const Topology t(shy);
+  EXPECT_EQ(t.port_peer(0, 1), -1);
+  EXPECT_EQ(t.switch_distance(0, 1, nullptr), -1);
+  const Scenario full = parse_ok(
+      "arch conochi\nswitch 1 1\nswitch 5 1\nwire 2 1 4 1\n");
+  EXPECT_EQ(Topology(full).switch_distance(0, 1, nullptr), 1);
+}
+
+TEST(TopologyModel, AFailedRingRouterCanSealADynocModule) {
+  // In a one-row array, module 2's ring keeps a single router, (1, 0).
+  const Scenario s = parse_ok(
+      "arch dynoc\nset width 4\nset height 1\nmodule 1\nmodule 2 2 1\n"
+      "place 1 0 0\nplace 2 2 0\n");
+  const Topology t(s);
+  const fpga::Rect a = *t.footprint(1);
+  const fpga::Rect b = *t.footprint(2);
+  const DynocMesh mesh = t.mesh({a, b});
+  EXPECT_EQ(mesh.distance(a, b, nullptr), 1);
+  const FailedSet ring{{1, 0}};
+  EXPECT_EQ(mesh.distance(a, b, &ring), -1);
+}
+
+TEST(TopologyModel, DoublyFailedRmbocLanesFloorAtZero) {
+  const Scenario s =
+      parse_ok("arch rmboc\nset slots 3\nset buses 1\n");
+  const Topology t(s);
+  const FailedSet links{{0, 0}, {0, 1}};
+  EXPECT_EQ(t.lanes_up(0, links), 0);
+  EXPECT_EQ(t.lanes_up(1, links), 1);
 }
 
 }  // namespace
