@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -18,6 +21,15 @@ enum class FaultKind {
   kLinkHeal,   ///< repair of a previously failed link
   kIcapAbort,  ///< abort the next finishing ICAP transfer
 };
+
+/// The kinds as .fplan and chaos-schedule files spell them, indexed by
+/// FaultKind.
+inline constexpr std::string_view kFaultKindNames[] = {
+    "fail_node", "heal_node", "fail_link", "heal_link", "abort_icap"};
+
+inline std::string_view to_string(FaultKind k) {
+  return kFaultKindNames[static_cast<std::size_t>(k)];
+}
 
 /// One scheduled fault, dispatched at the start of cycle `at`.
 struct FaultEvent {
@@ -64,5 +76,14 @@ struct FaultPlan {
     return *this;
   }
 };
+
+/// The stochastic rates as .fplan and chaos-schedule files spell them,
+/// and the FaultPlan field each one sets.
+inline constexpr std::string_view kRateNames[] = {"bit_flip", "drop",
+                                                  "icap_abort"};
+inline constexpr double FaultPlan::*kRateFields[] = {
+    &FaultPlan::bit_flip_rate, &FaultPlan::drop_rate,
+    &FaultPlan::icap_abort_rate};
+static_assert(std::size(kRateNames) == std::size(kRateFields));
 
 }  // namespace recosim::fault

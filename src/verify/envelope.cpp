@@ -33,14 +33,6 @@ std::string flow_str(int src, int dst) {
   return "flow " + std::to_string(src) + "->" + std::to_string(dst);
 }
 
-/// Compact deterministic number rendering for messages: integers without
-/// the ".000000" std::to_string(double) appends.
-std::string num(double v) {
-  if (v == std::floor(v) && std::abs(v) < 1e15)
-    return std::to_string(static_cast<long long>(v));
-  return std::to_string(v);
-}
-
 /// Report the ENV001/ENV003/ENV004 cascade for one resource envelope.
 /// The severity split follows the repo's discipline: guaranteed (min)
 /// demand that cannot be carried is an error, worst-case (max) demand

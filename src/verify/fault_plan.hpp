@@ -1,61 +1,48 @@
 #pragma once
 
+#include <cstddef>
+#include <iterator>
 #include <optional>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
 #include "verify/diagnostic.hpp"
+#include "verify/line_reader.hpp"
 #include "verify/scenario.hpp"
 #include "verify/topology.hpp"
 
 namespace recosim::verify {
 
-/// Declarative description of a fault-injection plan, checkable before a
-/// run. The format is the `fault` / `rate` subset of the chaos-schedule
-/// format (tools/recosim-chaos emits it when shrinking a failure), so a
-/// shrunk reproducing schedule lints as-is:
-///
-///   # comment
-///   fault fail_node 1000 3 3     # kind, cycle, coordinates a [b]
-///   fault heal_node 2000 3 3
-///   fault fail_link 500 1 2      # RMBoC: segment, bus
-///   fault abort_icap 750         # no coordinates
-///   rate bit_flip 0.01           # bit_flip | drop | icap_abort, in [0,1]
-///
-/// Coordinate meaning per architecture (see CommArchitecture fault hooks):
-/// BUS-COM node = bus index; RMBoC node = cross-point slot, link =
-/// (segment, bus); DyNoC node = router (x, y); CoNoChi node = switch
-/// position (x, y). Only RMBoC has link faults.
+/// A fault-injection plan as the FLT rules check it: the runtime's
+/// fault::FaultPlan plus where each part of it was written. Its text form
+/// (.fplan) is the `fault` / `rate` subset of the chaos-schedule format,
+/// so a shrunk reproducing schedule lints as-is (grammar and coordinate
+/// meanings: docs/static-analysis.md).
 struct FaultPlanDoc {
   std::string source;  ///< file name (diagnostics location)
+  fault::FaultPlan plan;
 
-  enum class Kind { kNodeFail, kNodeHeal, kLinkFail, kLinkHeal, kIcapAbort };
-
-  struct Event {
-    int line = 0;    ///< source position (diagnostics location)
-    int column = 1;
-    long long at = 0;
-    Kind kind = Kind::kNodeFail;
-    int a = 0;
-    int b = 0;
-  };
-  std::vector<Event> events;
-
-  struct Rate {
+  /// Where an event or a rate was written: its line and the column of its
+  /// directive. A plan built in code has none; its findings point at
+  /// line 0:1.
+  struct Pos {
     int line = 0;
     int column = 1;
-    std::string name;  ///< bit_flip | drop | icap_abort
-    double value = 0;
   };
-  std::vector<Rate> rates;
+  std::vector<Pos> event_pos;  ///< parallel to plan.scheduled
+  /// Per fault::kRateNames entry, the last line that set the rate.
+  Pos rate_pos[std::size(fault::kRateNames)];
 };
 
-const char* to_string(FaultPlanDoc::Kind k);
+/// The `fault` and `rate` directives, written once for .fplan files and
+/// chaos-schedule replay files; each adds what it reads to `doc` (a later
+/// `rate` line of a name overrides an earlier one).
+Directive fault_directive(FaultPlanDoc& doc);
+Directive rate_directive(FaultPlanDoc& doc);
 
 /// Parse a fault plan from text. Malformed lines are reported as LNT001
-/// with the line number; parsing continues so one bad line does not hide
+/// at their line:column; parsing continues so one bad line does not hide
 /// the rest. Lines recognised by the chaos-schedule format but irrelevant
 /// to fault checking (arch, seed, horizon, op) are skipped silently.
 FaultPlanDoc parse_fault_plan(const std::string& text,
@@ -70,7 +57,7 @@ std::optional<FaultPlanDoc> parse_fault_plan_file(const std::string& path,
 /// Run the FLT rules over a plan. `topology` supplies the architecture
 /// and resource bounds; when null, only the topology-independent checks
 /// run (FLT001 heal ordering, FLT004 rate ranges).
-void check_fault_plan(const FaultPlanDoc& plan, const Scenario* topology,
+void check_fault_plan(const FaultPlanDoc& doc, const Scenario* topology,
                       DiagnosticSink& sink);
 
 /// FLT005 core, shared between the static plan walk and the timeline

@@ -17,48 +17,46 @@ enum class ArchKind { kNone, kBuscom, kRmboc, kDynoc, kConochi };
 
 const char* to_string(ArchKind k);
 
+/// One architecture setting (`set <key> <value>`): its key, its default,
+/// and whether it takes whole numbers only. A whole-number setting must lie
+/// in [0, max]; a real one need only be finite, its range being a rule's
+/// business (BUS006).
+struct SettingDecl {
+  std::string_view key;
+  double fallback;
+  bool integral;
+  double max;
+};
+
+/// Cap of the fabric-size settings: a 1024x1024 DyNoC mesh keeps every
+/// router index inside int and the analyzer's mesh buffers at a few MB.
+inline constexpr double kSettingCap = 1024;
+
+/// Every setting a scenario may declare, with its default.
+inline constexpr SettingDecl kSettings[] = {
+    {"buses", 4, true, kSettingCap},             // BUS-COM buses, RMBoC k
+    {"slots_per_round", 32, true, kSettingCap},  // BUS-COM TDMA round
+    {"cycles_per_slot", 16, false, 0},           // BUS-COM
+    {"in_width_bits", 32, false, 0},             // BUS-COM bus width
+    {"dynamic_fraction", 0.25, false, 0},        // BUS-COM dynamic share
+    {"slots", 4, true, kSettingCap},             // RMBoC cross-point slots
+    {"width", 5, true, kSettingCap},             // DyNoC array
+    {"height", 5, true, kSettingCap},
+    {"grid_width", 8, true, kSettingCap},        // CoNoChi tile grid
+    {"grid_height", 8, true, kSettingCap},
+    {"hop_cycles", 4, false, 0},                 // latency per hop
+    {"full_column", 1, true, 1},                 // floorplan: 0 or 1
+    {"drain_timeout", 20000, true, 1e9},         // timeline: txn drain
+};
+
 /// Declarative description of a communication-architecture configuration,
 /// checkable without instantiating (or running) the simulator. This is the
 /// input recosim-lint works on: the guarded runtime APIs refuse most
 /// invalid states outright, so the linter needs a representation that can
 /// express the *intended* configuration — including infeasible ones — and
-/// explain why it cannot work.
-///
-/// Scenarios are written in a line-oriented text format (.rcs):
-///
-///   # comment
-///   arch dynoc                 # buscom | rmboc | dynoc | conochi
-///   set width 5                # numeric setting (architecture config)
-///   module 1 2 2               # id [width height]
-///
-///   slot 0 3 1                 # BUS-COM: bus, slot, owner module
-///   demand 1 4096              # BUS-COM: payload bytes per round
-///   place 1 0                  # RMBoC: module, slot
-///   channel 1 2 2              # RMBoC: src, dst [, lanes]
-///   place 1 1 1                # DyNoC: module, x, y (top-left)
-///   switch 2 2                 # CoNoChi: x, y
-///   wire 2 2 5 2               # CoNoChi: straight H/V run
-///   attach 1 2 2               # CoNoChi: module at switch (x, y)
-///   route 2 2 3 1              # CoNoChi: at (x,y) towards switch
-///                              #   index 3, leave on port 1 (N,E,S,W)
-///   deadline 1 2 400           # envelope: worst-case latency bound in
-///                              #   cycles for traffic src 1 -> dst 2
-///   device 48 32               # floorplan: fabric size in CLBs
-///   region 1 0 0 12 16         # floorplan: module, x, y, w, h
-///   port 1 12                  # floorplan: module interface bits
-///
-/// Timed events (the timeline verifier's input; `at <cycle> <event>`):
-///
-///   at 1000 load 3             # load module (static placement, if any)
-///   at 1000 load 3 2           # RMBoC: load into cross-point slot 2
-///   at 1000 load 3 4 1         # DyNoC place / CoNoChi attach at (4, 1)
-///   at 2000 unload 3           # unload module
-///   at 2000 swap 3 4           # swap: 4 replaces 3 (inherits placement)
-///   at 1200 open 1 2 2         # open channel src -> dst [, lanes]
-///   at 1800 close 1 2          # close one matching channel
-///   at 1500 epoch 1 4096       # BUS-COM: demand becomes bytes/round
-///   at 1500 slot 0 3 1         # BUS-COM: reassign (bus, slot) to owner
-///   at 2500 unslot 0 3         # BUS-COM: release (bus, slot)
+/// explain why it cannot work. Its text form (.rcs) is one line per
+/// directive, read by verify/line_reader.hpp; the grammar is in
+/// docs/static-analysis.md.
 struct Scenario {
   ArchKind arch = ArchKind::kNone;
   std::string source;  ///< file name (diagnostics location)
@@ -70,8 +68,7 @@ struct Scenario {
   };
   std::vector<Module> modules;
 
-  /// Architecture settings ("buses", "slots_per_round", "width", ...);
-  /// their defaults live in the analyzer's model (verify/topology.hpp).
+  /// Architecture settings, keyed by kSettings keys.
   std::map<std::string, double, std::less<>> settings;
 
   /// Where each placed module sits: RMBoC {slot, 0}, DyNoC top-left tile,
@@ -150,16 +147,18 @@ struct Scenario {
       if (m.id == id) return true;
     return false;
   }
-  /// Setting value with a default.
-  double setting(std::string_view key, double fallback) const {
-    auto it = settings.find(key);
-    return it == settings.end() ? fallback : it->second;
+  /// The value of declared setting `key`: as set, else its default.
+  double setting(std::string_view key) const {
+    if (auto it = settings.find(key); it != settings.end()) return it->second;
+    for (const SettingDecl& d : kSettings)
+      if (d.key == key) return d.fallback;
+    return 0.0;
   }
 };
 
 /// Parse a scenario from text. Malformed lines and directives that do not
-/// fit the declared architecture are reported as LNT001/LNT002 with the
-/// line number; parsing continues so one bad line does not hide the rest.
+/// fit the declared architecture are reported as LNT001/LNT002 at their
+/// line:column; parsing continues so one bad line does not hide the rest.
 /// Returns nullopt only when nothing useful could be parsed (no arch).
 std::optional<Scenario> parse_scenario(const std::string& text,
                                        const std::string& source_name,

@@ -17,7 +17,7 @@ namespace recosim::verify {
 namespace {
 
 using EKind = Scenario::TimedEvent::Kind;
-using FKind = FaultPlanDoc::Kind;
+using FKind = fault::FaultKind;
 
 constexpr long long kOpenEnd = -1;  ///< window extends to schedule end
 
@@ -47,7 +47,7 @@ std::string key_of(const Diagnostic& d) {
 }
 
 void apply_fault(FailedSet& nodes, FailedSet& links,
-                 const FaultPlanDoc::Event& f) {
+                 const fault::FaultEvent& f) {
   const std::pair<int, int> key{f.a, f.b};
   switch (f.kind) {
     case FKind::kNodeFail: nodes.insert(key); break;
@@ -91,9 +91,9 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
   std::vector<Scenario::TimedEvent> events = s.events;
   std::stable_sort(events.begin(), events.end(),
                    [](const auto& a, const auto& b) { return a.at < b.at; });
-  std::vector<FaultPlanDoc::Event> faults;
+  std::vector<fault::FaultEvent> faults;
   if (plan) {
-    faults = plan->events;
+    faults = plan->plan.scheduled;
     std::stable_sort(faults.begin(), faults.end(),
                      [](const auto& a, const auto& b) { return a.at < b.at; });
   }
@@ -207,8 +207,9 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
     auto links = st.failed_links;
     if (!path_blocked(now, c, nodes, links)) return false;
     for (const auto& f : faults) {
-      if (f.at <= t) continue;
-      if (f.at >= t + drain_budget) break;  // faults are time-sorted
+      const auto at = static_cast<long long>(f.at);
+      if (at <= t) continue;
+      if (at >= t + drain_budget) break;  // faults are time-sorted
       apply_fault(nodes, links, f);
       if (!path_blocked(now, c, nodes, links)) return false;
     }
@@ -423,7 +424,8 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
   std::vector<long long> boundaries;
   boundaries.reserve(events.size() + faults.size());
   for (const auto& e : events) boundaries.push_back(e.at);
-  for (const auto& f : faults) boundaries.push_back(f.at);
+  for (const auto& f : faults)
+    boundaries.push_back(static_cast<long long>(f.at));
   std::sort(boundaries.begin(), boundaries.end());
   boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
                    boundaries.end());
@@ -433,7 +435,7 @@ void Timeline::check(const Scenario& s, const FaultPlanDoc* plan,
     run_window(0, boundaries.empty() ? kOpenEnd : boundaries.front());
   for (std::size_t bi = 0; bi < boundaries.size(); ++bi) {
     const long long t = boundaries[bi];
-    while (fi < faults.size() && faults[fi].at == t)
+    while (fi < faults.size() && static_cast<long long>(faults[fi].at) == t)
       apply_fault(st.failed_nodes, st.failed_links, faults[fi++]);
     while (ei < events.size() && events[ei].at == t)
       apply_event(events[ei++]);

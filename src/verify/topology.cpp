@@ -10,6 +10,12 @@ std::string module_str(int id) {
   return std::string("module ").append(std::to_string(id));
 }
 
+std::string num(double v) {
+  if (v == std::floor(v) && std::abs(v) < 1e15)
+    return std::to_string(static_cast<long long>(v));
+  return std::to_string(v);
+}
+
 bool node_failed_1d(const FailedSet& failed, int a) {
   for (const auto& f : failed)
     if (f.first == a) return true;
@@ -140,19 +146,19 @@ bool switch_between(const Scenario& s, std::size_t i, std::size_t j) {
 }  // namespace
 
 Topology::Topology(const Scenario& s)
-    : buses(static_cast<int>(s.setting("buses", 4))),
-      slots_per_round(static_cast<int>(s.setting("slots_per_round", 32))),
-      cycles_per_slot(s.setting("cycles_per_slot", 16)),
-      in_width_bits(s.setting("in_width_bits", 32)),
-      dynamic_fraction(s.setting("dynamic_fraction", 0.25)),
-      slots(static_cast<int>(s.setting("slots", 4))),
-      width(static_cast<int>(s.setting("width", 5))),
-      height(static_cast<int>(s.setting("height", 5))),
-      grid_width(static_cast<int>(s.setting("grid_width", 8))),
-      grid_height(static_cast<int>(s.setting("grid_height", 8))),
-      hop_cycles(s.setting("hop_cycles", 4)),
-      full_column(s.setting("full_column", 1) != 0),
-      drain_timeout(static_cast<long long>(s.setting("drain_timeout", 20000))),
+    : buses(static_cast<int>(s.setting("buses"))),
+      slots_per_round(static_cast<int>(s.setting("slots_per_round"))),
+      cycles_per_slot(s.setting("cycles_per_slot")),
+      in_width_bits(s.setting("in_width_bits")),
+      dynamic_fraction(s.setting("dynamic_fraction")),
+      slots(static_cast<int>(s.setting("slots"))),
+      width(static_cast<int>(s.setting("width"))),
+      height(static_cast<int>(s.setting("height"))),
+      grid_width(static_cast<int>(s.setting("grid_width"))),
+      grid_height(static_cast<int>(s.setting("grid_height"))),
+      hop_cycles(s.setting("hop_cycles")),
+      full_column(s.setting("full_column") != 0),
+      drain_timeout(static_cast<long long>(s.setting("drain_timeout"))),
       s_(s) {
   // Port numbering matches the runtime: 0 N, 1 E, 2 S, 3 W.
   const std::size_t n = s.switches.size();

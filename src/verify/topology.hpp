@@ -27,6 +27,10 @@ using FailedSet = std::set<std::pair<int, int>>;
 /// "module <id>", the object name of module findings.
 std::string module_str(int id);
 
+/// Compact deterministic number rendering for messages: integers without
+/// the ".000000" std::to_string(double) appends.
+std::string num(double v);
+
 /// BUS-COM buses and RMBoC cross-points are one-dimensional: a node fault
 /// names them by its first coordinate only.
 bool node_failed_1d(const FailedSet& failed, int a);
