@@ -25,6 +25,21 @@ std::string channel_str(const Scenario::Channel& c) {
 // ---------------------------------------------------------------------------
 // BUS-COM
 
+/// BUS005 (the declared demand) and SCH001 (an epoch's): a module's
+/// bytes-per-round demand against what its `owned` static slots carry.
+void check_slot_demand(const Topology& t, DiagnosticSink& sink,
+                       const char* rule, const char* which, int module,
+                       int owned, double demand, const char* fixit) {
+  const double capacity = owned * t.slot_payload();
+  if (demand <= capacity) return;
+  sink.report(rule, Severity::kError, {"buscom", module_str(module)},
+              std::string(which) + " demand of " + num(demand) +
+                  " bytes/round exceeds the " + num(capacity) +
+                  " bytes its " + std::to_string(owned) +
+                  " static slot(s) can carry",
+              fixit);
+}
+
 void check_buscom(const Topology& t, DiagnosticSink& sink) {
   const Scenario& s = t.scenario();
   const std::string comp = "buscom";
@@ -82,7 +97,6 @@ void check_buscom(const Topology& t, DiagnosticSink& sink) {
   }
 
   // Guaranteed-bandwidth feasibility per module.
-  const double payload_per_slot = t.slot_payload();
   for (const auto& m : s.modules) {
     const int owned = static_slots.count(m.id) ? static_slots[m.id] : 0;
     if (owned == 0) {
@@ -91,17 +105,9 @@ void check_buscom(const Topology& t, DiagnosticSink& sink) {
                   "only, no guaranteed bandwidth)",
                   "assign at least one static slot");
     }
-    auto d = s.demand.find(m.id);
-    if (d == s.demand.end()) continue;
-    const double capacity = owned * payload_per_slot;
-    if (d->second > capacity) {
-      sink.report("BUS005", Severity::kError, {comp, module_str(m.id)},
-                  "declared demand of " + std::to_string(d->second) +
-                      " bytes/round exceeds the " + std::to_string(capacity) +
-                      " bytes its " + std::to_string(owned) +
-                      " static slot(s) can carry",
-                  "assign more static slots or lower the demand");
-    }
+    if (auto d = s.demand.find(m.id); d != s.demand.end())
+      check_slot_demand(t, sink, "BUS005", "declared", m.id, owned, d->second,
+                        "assign more static slots or lower the demand");
   }
 }
 
@@ -476,20 +482,12 @@ void timeline_buscom(const TimelineStep& st, const Topology& t,
   // static BUS005 only sees the initial table; slot/unslot events and
   // epochs change both sides over time).
   std::map<int, int> static_slots = t.slot_shares(st.failed_nodes).owned;
-  const double payload_per_slot = t.slot_payload();
   for (const auto& m : s.modules) {
     const auto d = st.demand.find(m.id);
     if (d == st.demand.end()) continue;
     const int owned = static_slots.count(m.id) ? static_slots[m.id] : 0;
-    const double capacity = owned * payload_per_slot;
-    if (d->second > capacity) {
-      sink.report("SCH001", Severity::kError, {comp, module_str(m.id)},
-                  "epoch demand of " + std::to_string(d->second) +
-                      " bytes/round exceeds the " + std::to_string(capacity) +
-                      " bytes its " + std::to_string(owned) +
-                      " static slot(s) can carry",
-                  "assign more static slots before the epoch or lower it");
-    }
+    check_slot_demand(t, sink, "SCH001", "epoch", m.id, owned, d->second,
+                      "assign more static slots before the epoch or lower it");
   }
 
   // TMP001 — a channel stays open while every bus is failed: nothing can
