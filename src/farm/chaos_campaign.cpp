@@ -81,10 +81,8 @@ fault::ChaosRunOptions run_options(const ChaosCampaignOptions& opt,
   return ro;
 }
 
-/// One (arch, seed) evaluation — the former recosim-chaos run_one, now a
-/// farm run function. Fills `slot` with the raw ChaosResult for the
-/// summary lines; expensive failure reporting (schedule shrinking) waits
-/// for the final attempt since earlier attempts' output is discarded.
+}  // namespace
+
 RunResult chaos_run(const ChaosCampaignOptions& opt,
                     const fault::ChaosSchedule& schedule,
                     ChaosJobOutcome* slot, const RunContext& ctx) {
@@ -172,8 +170,6 @@ RunResult chaos_run(const ChaosCampaignOptions& opt,
   out.output = os.str();
   return out;
 }
-
-}  // namespace
 
 std::string chaos_result_digest(const fault::ChaosResult& r) {
   std::ostringstream os;

@@ -64,6 +64,15 @@ struct ChaosJobOutcome {
   fault::ChaosResult result;
 };
 
+/// One schedule's evaluation, shared by the campaign's jobs and
+/// recosim-chaos --replay: the --lint-first skip, the run, the envelope
+/// checks, and on failure the report with its lint-hinted shrink. Fills
+/// `slot` with the raw ChaosResult; failure reporting waits for the final
+/// attempt, since earlier attempts' output is discarded.
+RunResult chaos_run(const ChaosCampaignOptions& opt,
+                    const fault::ChaosSchedule& schedule,
+                    ChaosJobOutcome* slot, const RunContext& ctx);
+
 /// Build one farm job per (arch, seed), artifact = the serialized
 /// schedule. `outcomes` must outlive the jobs and not be resized after
 /// this call (the run functions hold pointers into it).

@@ -38,6 +38,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "farm/journal.hpp"
@@ -167,6 +168,16 @@ class SimFarm {
 /// min(work_items, hardware_concurrency), at least 1 — the default worker
 /// count for benches farming a fixed sweep.
 int default_jobs(std::size_t work_items);
+
+/// The checked conversion behind every numeric command-line value and
+/// seed: the whole of `text` must be decimal digits and the value must lie
+/// in [min, max] (count flags pass min = 1). Returns false, with `error`
+/// saying why, otherwise.
+bool parse_decimal(std::string_view text, std::uint64_t min,
+                   std::uint64_t max, std::uint64_t* out, std::string* error);
+
+/// The most seeds a --seeds count or --seed-range may expand to.
+inline constexpr std::uint64_t kMaxSeeds = 10'000'000;
 
 /// Parse "A:B" (half-open, B > A) into the seed list A..B-1.
 /// Returns false on malformed input.

@@ -295,6 +295,31 @@ TEST(Farm, SeedRangeAndSeedFileParsing) {
   std::remove(path.c_str());
 }
 
+TEST(Farm, CommandLineNumbersAreWholeDecimalsInRange) {
+  std::uint64_t n = 0;
+  std::string error;
+  EXPECT_TRUE(parse_decimal("42", 1, 100, &n, &error));
+  EXPECT_EQ(n, 42u);
+  // recosim-chaos read each of these as something: "-1" wrapped to
+  // 2^64-1, "x" became 0, "-5" disabled the watchdog, "abc" an empty seed
+  // set. Zero is no count, 101 lies past the maximum.
+  for (const char* bad : {"-1", "x", "-5", "abc", "", "12abc", "+5", " 5",
+                          "1e3", "0", "101", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_decimal(bad, 1, 100, &n, &error)) << bad;
+    EXPECT_EQ(n, 42u) << bad;  // untouched
+  }
+  EXPECT_NE(error.find("[1, 100]"), std::string::npos) << error;
+  EXPECT_TRUE(parse_decimal("18446744073709551615", 0, ~std::uint64_t{0}, &n,
+                            &error));
+  EXPECT_EQ(n, ~std::uint64_t{0});
+
+  std::vector<std::uint64_t> seeds;
+  EXPECT_FALSE(parse_seed_range("-1:5", &seeds, &error));
+  EXPECT_FALSE(parse_seed_range(" 1:5", &seeds, &error));
+  EXPECT_FALSE(parse_seed_range("1:5x", &seeds, &error));
+  EXPECT_TRUE(seeds.empty());
+}
+
 TEST(Farm, QuarantineFileReplaysThroughSeedFile) {
   std::vector<Job> jobs = staggered_jobs(4);
   jobs[1].fn = [](const RunContext&) -> RunResult {
