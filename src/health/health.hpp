@@ -68,40 +68,6 @@ struct Subject {
 enum class HealthState { kHealthy, kSuspect, kConfirmed };
 const char* to_string(HealthState s);
 
-struct DetectorConfig {
-  /// Cycles between scoring polls (decay, threshold checks, counter and
-  /// invariant sampling). A prime keeps polls out of phase with the
-  /// power-of-two retransmission timeouts.
-  sim::Cycle poll_interval = 257;
-  /// Score multiplier applied every poll; the half-life of evidence.
-  double decay = 0.7;
-  /// Score at which a subject becomes kSuspect.
-  double suspect_threshold = 2.0;
-  /// Score at which a subject is a confirmation candidate.
-  double confirm_threshold = 6.0;
-  /// Consecutive polls the score must hold >= confirm_threshold before
-  /// kConfirmed fires — the debounce that keeps one burst from flapping.
-  int confirm_debounce_polls = 2;
-  /// Consecutive symptom-free polls (with the score decayed back under
-  /// suspect_threshold) before a confirmed subject clears to kHealthy.
-  int clear_after_polls = 4;
-
-  // Symptom weights. Tuned so transient noise (a single bit flip, one
-  // lost packet, the send-reject burst of a routine quiesce) stays below
-  // suspect_threshold while a real failure's symptom mix — flow deaths
-  // plus standing dead flows plus invariant warnings — crosses
-  // confirm_threshold within a few polls.
-  double w_retransmission = 1.0;   ///< per attempt beyond the second
-  double w_retransmission_mild = 0.2;  ///< a first (attempts==2) retry
-  double w_retransmission_cap = 4.0;
-  double w_send_reject = 0.01;
-  double w_flow_death = 4.0;       ///< at the flow's dst; src gets half
-  double w_standing_dead = 1.5;    ///< per poll while a flow stays dead
-  double w_crc = 0.5;              ///< per crc_dropped delta
-  double w_drain_escalation = 3.0;
-  double w_verifier_warning = 2.0;  ///< per warning, per poll
-};
-
 /// Per-module / per-resource health accounting fed from observable
 /// symptoms only. Wire it up with ReliableChannel::set_event_hook ->
 /// observe_channel_event and TxnConfig::on_drain_escalation ->
@@ -111,16 +77,14 @@ class FailureDetector final : public sim::Component {
  public:
   using SubjectHook = std::function<void(const Subject&, sim::Cycle)>;
 
+  /// Its tuning is fixed (failure_detector.cpp, docs/self-healing.md).
   FailureDetector(sim::Kernel& kernel, core::CommArchitecture& arch,
-                  DetectorConfig cfg = {},
                   std::string name = "failure_detector");
 
   // -- symptom inputs --------------------------------------------------------
 
   void observe_channel_event(const fault::ChannelEvent& ev);
   void observe_drain_escalation(const std::vector<fpga::ModuleId>& modules);
-  /// Generic escape hatch for additional observable symptom sources.
-  void observe_symptom(const Subject& subject, double weight);
 
   // -- state -----------------------------------------------------------------
 
@@ -132,7 +96,6 @@ class FailureDetector final : public sim::Component {
   double score(const Subject& subject) const;
   /// Cycle of the first symptom of the current episode (reset on clear).
   std::optional<sim::Cycle> first_symptom_at(const Subject& subject) const;
-  std::optional<sim::Cycle> suspect_at(const Subject& subject) const;
   std::optional<sim::Cycle> confirmed_at(const Subject& subject) const;
 
   /// Hooks fire inside the detector's eval, in subscription order.
@@ -162,7 +125,6 @@ class FailureDetector final : public sim::Component {
     int polls_above_confirm = 0;
     int symptom_free_polls = 0;
     sim::Cycle first_symptom = 0;
-    sim::Cycle became_suspect = 0;
     sim::Cycle became_confirmed = 0;
   };
 
@@ -170,7 +132,6 @@ class FailureDetector final : public sim::Component {
   void poll();
 
   core::CommArchitecture& arch_;
-  DetectorConfig cfg_;
   sim::Cycle next_poll_;
   std::map<Subject, Entry> entries_;
   /// Flows currently dead (kFlowDead seen, no kFlowResurrected yet);
@@ -212,23 +173,9 @@ struct Incident {
   sim::Cycle last_probe = 0;
 };
 
+/// The orchestrator's one setting; its poll interval and rung deadlines
+/// are fixed (recovery_orchestrator.cpp, docs/self-healing.md).
 struct OrchestratorConfig {
-  sim::Cycle poll_interval = 127;
-  /// Rung 0: leave the incident to the transport's retry/backoff.
-  sim::Cycle retry_grace = 2'048;
-  /// Rung 1: after replan_paths() + resurrection, time for traffic to
-  /// recover before escalating.
-  sim::Cycle reroute_deadline = 4'096;
-  /// Rung 2: evacuation transactions (unload + reload) must finish and
-  /// show recovery within this bound.
-  sim::Cycle evac_deadline = 16'384;
-  /// Rung 3: dwell with traffic shed before declaring DEGRADED-STABLE.
-  sim::Cycle degrade_settle = 4'096;
-  /// While an incident is unresolved (or degraded-stable but unhealed),
-  /// periodically re-plan paths and resurrect dead flows: if the fabric
-  /// healed, the probe traffic delivers, the symptoms stop and the
-  /// detector clears; if not, the probe re-parks and costs nothing more.
-  sim::Cycle probe_interval = 4'096;
   /// Transaction policy for evacuations.
   core::TxnConfig evac_txn;
 };

@@ -8,6 +8,28 @@
 
 namespace recosim::health {
 
+namespace {
+
+// The escalation ladder's fixed timing, in cycles (docs/self-healing.md).
+constexpr sim::Cycle kPollInterval = 127;
+/// Rung 0: leave the incident to the transport's retry/backoff.
+constexpr sim::Cycle kRetryGrace = 2'048;
+/// Rung 1: after replan_paths() + resurrection, time for traffic to
+/// recover before escalating.
+constexpr sim::Cycle kRerouteDeadline = 4'096;
+/// Rung 2: evacuation transactions (unload + reload) must finish and show
+/// recovery within this bound.
+constexpr sim::Cycle kEvacDeadline = 16'384;
+/// Rung 3: dwell with traffic shed before declaring DEGRADED-STABLE.
+constexpr sim::Cycle kDegradeSettle = 4'096;
+/// While an incident is unresolved (or degraded-stable but unhealed),
+/// periodically re-plan paths and resurrect dead flows: if the fabric
+/// healed, the probe traffic delivers, the symptoms stop and the detector
+/// clears; if not, the probe re-parks and costs nothing more.
+constexpr sim::Cycle kProbeInterval = 4'096;
+
+}  // namespace
+
 const char* to_string(Rung r) {
   switch (r) {
     case Rung::kRetryWait: return "retry-wait";
@@ -38,7 +60,7 @@ RecoveryOrchestrator::RecoveryOrchestrator(
       mgr_(mgr),
       cfg_(cfg) {
   set_ff_pollable(true);
-  next_poll_ = kernel.now() + cfg_.poll_interval;
+  next_poll_ = kernel.now() + kPollInterval;
   detector_.add_confirmed_hook(
       [this](const Subject& s, sim::Cycle at) { on_confirmed(s, at); });
   detector_.add_cleared_hook(
@@ -300,17 +322,17 @@ sim::Cycle RecoveryOrchestrator::quiescent_deadline() const {
 void RecoveryOrchestrator::eval() {
   const sim::Cycle now = kernel().now();
   if (now < next_poll_) return;
-  next_poll_ = now + cfg_.poll_interval;
+  next_poll_ = now + kPollInterval;
   if (!needs_attention()) return;
   pump_evacuations();
   for (auto& inc : incidents_) {
     if (inc.outcome == IncidentOutcome::kOpen) {
       sim::Cycle deadline = 0;
       switch (inc.rung) {
-        case Rung::kRetryWait: deadline = cfg_.retry_grace; break;
-        case Rung::kRerouting: deadline = cfg_.reroute_deadline; break;
-        case Rung::kEvacuating: deadline = cfg_.evac_deadline; break;
-        case Rung::kDegraded: deadline = cfg_.degrade_settle; break;
+        case Rung::kRetryWait: deadline = kRetryGrace; break;
+        case Rung::kRerouting: deadline = kRerouteDeadline; break;
+        case Rung::kEvacuating: deadline = kEvacDeadline; break;
+        case Rung::kDegraded: deadline = kDegradeSettle; break;
       }
       if (now - inc.rung_started >= deadline) escalate(inc);
     }
@@ -321,7 +343,7 @@ void RecoveryOrchestrator::eval() {
         (inc.outcome == IncidentOutcome::kOpen &&
          inc.rung != Rung::kRetryWait) ||
         (inc.outcome == IncidentOutcome::kDegradedStable && !inc.healed);
-    if (probeworthy && now - inc.last_probe >= cfg_.probe_interval)
+    if (probeworthy && now - inc.last_probe >= kProbeInterval)
       probe(inc);
   }
 }
