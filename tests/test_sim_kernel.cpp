@@ -8,7 +8,10 @@
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace recosim::sim {
 namespace {
@@ -90,6 +93,61 @@ TEST(Kernel, EventMayScheduleFurtherEvents) {
   });
   k.run(5);
   EXPECT_EQ(fired, 2);
+}
+
+/// Calls schedule_in(0, fn) from its eval() at cycle `at`, then sleeps.
+class LateScheduler final : public Component {
+ public:
+  LateScheduler(Kernel& k, Cycle at, std::function<void()> fn)
+      : Component(k, "late"), at_(at), fn_(std::move(fn)) {}
+  void eval() override {
+    if (kernel().now() == at_) kernel().schedule_in(0, fn_);
+  }
+  void commit() override {
+    if (kernel().now() == at_) set_active(false);
+  }
+
+ private:
+  Cycle at_;
+  std::function<void()> fn_;
+};
+
+/// A callback that logs "<tag>@<cycle>" when it fires.
+std::function<void()> logger(Kernel& k, std::vector<std::string>& log,
+                             const char* tag) {
+  return [&k, &log, tag] {
+    log.push_back(std::string(tag) + "@" + std::to_string(k.now()));
+  };
+}
+
+TEST(Kernel, PushForAFiredCycleRunsNextCycleAfterItsEvents) {
+  // Cycle 5's events have fired when its eval() pushes B for cycle 5, so
+  // B becomes an event of cycle 6, queued behind A, and cycle 6 executes.
+  Kernel k;
+  std::vector<std::string> log;
+  k.schedule_at(6, logger(k, log, "A"));
+  LateScheduler late(k, 5, logger(k, log, "B"));
+  k.run(10);
+  EXPECT_EQ(log, (std::vector<std::string>{"A@6", "B@6"}));
+  EXPECT_EQ(k.fast_forwarded_cycles(), 3u);  // only 7 -> 10 is skipped
+}
+
+TEST(Kernel, CallbackPushesForItsOwnCycleAndTheNext) {
+  Kernel k;
+  std::vector<std::string> log;
+  k.schedule_at(6, [&] {
+    log.push_back("P@" + std::to_string(k.now()));
+    k.schedule_at(6, logger(k, log, "X"));
+    k.schedule_at(7, logger(k, log, "Y"));
+  });
+  k.schedule_at(6, logger(k, log, "A"));
+  k.schedule_at(7, logger(k, log, "Z"));
+  k.run(10);
+  // X runs in the same pass, after every event already queued for cycle
+  // 6; Y joins cycle 7 behind Z.
+  EXPECT_EQ(log,
+            (std::vector<std::string>{"P@6", "A@6", "X@6", "Z@7", "Y@7"}));
+  EXPECT_EQ(k.fast_forwarded_cycles(), 8u);  // 0 -> 6 and 8 -> 10
 }
 
 TEST(Kernel, RunUntilStopsWhenPredicateHolds) {
