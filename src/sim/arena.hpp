@@ -6,11 +6,11 @@
 
 namespace recosim::sim {
 
-/// Freelist-backed pool for the simulator's hot small allocations: packet
-/// queue chunks and SmallFn heap spill. Blocks are individually
-/// operator-new'd and, once freed, cached on a size-class freelist instead
-/// of going back to the general heap, so the steady-state send/schedule
-/// paths allocate without touching malloc/free at all.
+/// Freelist-backed pool for the simulator's hot small allocations, the
+/// packet queue chunks. Blocks are individually operator-new'd and, once
+/// freed, cached on a size-class freelist instead of going back to the
+/// general heap, so the steady-state send paths allocate without touching
+/// malloc/free at all.
 ///
 /// The pool is per-thread (Arena::thread_arena()); the simulator runs one
 /// kernel per thread (farm workers included), so "per-kernel arena" and

@@ -1,77 +1,23 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/check.hpp"
 
 namespace recosim::sim {
 
-void EventQueue::push(Cycle at, SmallFn fn) {
+void EventQueue::push(Cycle at, std::function<void()> fn) {
   // Monotonicity: an event behind the fired-through point would never
   // run in time order (it still fires, but at a later cycle than it asked
   // for), so the simulation it drives is silently wrong.
   RECOSIM_CHECK_ALWAYS("SIM001", !fired_any_ || at >= fired_through_,
                        "event scheduled before an already-fired cycle");
-  // An event at the cycle that just fired runs at the next fire_due (same
-  // as the old heap-based queue); bucket it at the window base.
-  const Cycle ec = at < base_ ? base_ : at;
-  if (ec < base_ + kBuckets) {
-    const std::size_t idx = static_cast<std::size_t>(ec) & kMask;
-    ring_[idx].push_back(std::move(fn));
-    set_bit(idx);
-  } else {
-    overflow_[ec].push_back(std::move(fn));
-  }
-  ++size_;
-}
-
-Cycle EventQueue::ring_min() const {
-  const std::size_t start = static_cast<std::size_t>(base_) & kMask;
-  const std::size_t w0 = start >> 6;
-  const std::size_t b0 = start & 63;
-  for (std::size_t k = 0; k <= kWords; ++k) {
-    const std::size_t w = (w0 + k) & (kWords - 1);
-    std::uint64_t word = occ_[w];
-    if (k == 0) word &= ~std::uint64_t{0} << b0;
-    if (k == kWords) word &= b0 ? ((std::uint64_t{1} << b0) - 1) : 0;
-    if (word) {
-      const std::size_t idx =
-          (w << 6) + static_cast<std::size_t>(__builtin_ctzll(word));
-      return base_ + static_cast<Cycle>((idx - start) & kMask);
-    }
-  }
-  return kNeverCycle;
+  events_[std::max(at, base_)].push_back(std::move(fn));
 }
 
 Cycle EventQueue::next_cycle() const {
-  Cycle c = ring_min();
-  if (!overflow_.empty() && overflow_.begin()->first < c)
-    c = overflow_.begin()->first;
-  return c;
-}
-
-void EventQueue::fire_ring_cycle(Cycle c) {
-  const std::size_t idx = static_cast<std::size_t>(c) & kMask;
-  auto& v = ring_[idx];
-  // Index loop: callbacks may push further events for this same cycle,
-  // which grow v and must fire in this pass (FIFO order preserved).
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    SmallFn fn = std::move(v[i]);
-    --size_;
-    fn();
-  }
-  v.clear();
-  clear_bit(idx);
-}
-
-void EventQueue::fire_overflow_cycle(Cycle c) {
-  auto it = overflow_.find(c);
-  std::vector<SmallFn> v = std::move(it->second);
-  overflow_.erase(it);
-  size_ -= v.size();
-  // New pushes for cycle c land in a fresh overflow node (or the ring)
-  // and are picked up by the caller's next_cycle() loop.
-  for (auto& fn : v) fn();
+  return events_.empty() ? kNeverCycle : events_.begin()->first;
 }
 
 void EventQueue::fire_due(Cycle now) {
@@ -80,31 +26,15 @@ void EventQueue::fire_due(Cycle now) {
                        "already executed");
   fired_through_ = now;
   fired_any_ = true;
-  while (size_ != 0) {
-    const Cycle c = next_cycle();
-    if (c > now) break;
-    if (c < base_ + kBuckets) {
-      fire_ring_cycle(c);
-    } else {
-      fire_overflow_cycle(c);
-    }
+  while (!events_.empty() && events_.begin()->first <= now) {
+    // A callback that pushes for this same cycle opens a fresh entry for
+    // it, which the next pass of this loop fires, after these.
+    auto it = events_.begin();
+    std::vector<std::function<void()>> due = std::move(it->second);
+    events_.erase(it);
+    for (auto& fn : due) fn();
   }
-  if (now + 1 > base_) {
-    base_ = now + 1;
-    migrate_overflow();
-  }
-}
-
-void EventQueue::migrate_overflow() {
-  while (!overflow_.empty()) {
-    auto it = overflow_.begin();
-    if (it->first >= base_ + kBuckets) break;
-    // The bucket's previous window cycle was already fired, so it is free.
-    const std::size_t idx = static_cast<std::size_t>(it->first) & kMask;
-    ring_[idx] = std::move(it->second);
-    set_bit(idx);
-    overflow_.erase(it);
-  }
+  base_ = std::max(base_, now + 1);
 }
 
 }  // namespace recosim::sim

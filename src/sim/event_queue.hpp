@@ -1,61 +1,35 @@
 #pragma once
 
-#include <array>
-#include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
-#include "sim/smallfn.hpp"
 #include "sim/types.hpp"
 
 namespace recosim::sim {
 
-/// Time-ordered queue of one-shot callbacks. Events with equal firing time
-/// run in insertion order, keeping the simulation deterministic (same
-/// tie-break semantics as a global sequence number).
-///
-/// Implemented as a calendar queue: a power-of-two ring of per-cycle
-/// buckets covers the near future (one bucket per cycle, FIFO vector per
-/// bucket, no per-event allocation thanks to SmallFn), and a sorted
-/// overflow map holds events scheduled beyond the ring window. Bucket
-/// occupancy is tracked in a bitmap so next_cycle() is O(1).
+/// Time-ordered queue of one-shot callbacks: one ordered map from cycle to
+/// that cycle's callbacks, which run in push order so the simulation stays
+/// deterministic.
 class EventQueue {
  public:
-  void push(Cycle at, SmallFn fn);
+  /// Queue `fn` for cycle `at`. A push for a cycle that already fired
+  /// (schedule_in(0, ...) from an eval(), say) is queued as an event of
+  /// the next cycle, behind the events already queued for it.
+  void push(Cycle at, std::function<void()> fn);
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
+  bool empty() const { return events_.empty(); }
 
   /// Earliest scheduled cycle; kNeverCycle when empty.
   Cycle next_cycle() const;
 
-  /// Pop and run every event scheduled at or before `now`.
+  /// Pop and run every event scheduled at or before `now`, then the ones
+  /// those callbacks push for `now` itself.
   void fire_due(Cycle now);
 
-  /// Latest cycle fire_due() has completed; pushes behind this point
-  /// would never fire in order (checked as SIM001).
-  Cycle fired_through() const { return fired_through_; }
-
  private:
-  static constexpr std::size_t kBuckets = 256;  // power of two
-  static constexpr std::size_t kMask = kBuckets - 1;
-  static constexpr std::size_t kWords = kBuckets / 64;
-
-  /// Earliest non-empty ring cycle >= base_, or kNeverCycle.
-  Cycle ring_min() const;
-  void fire_ring_cycle(Cycle c);
-  void fire_overflow_cycle(Cycle c);
-  /// Move overflow events that now fall inside the ring window.
-  void migrate_overflow();
-
-  void set_bit(std::size_t idx) { occ_[idx >> 6] |= 1ull << (idx & 63); }
-  void clear_bit(std::size_t idx) { occ_[idx >> 6] &= ~(1ull << (idx & 63)); }
-
-  std::array<std::vector<SmallFn>, kBuckets> ring_;
-  std::array<std::uint64_t, kWords> occ_{};  // bucket-occupancy bitmap
-  std::map<Cycle, std::vector<SmallFn>> overflow_;
-  Cycle base_ = 0;  ///< earliest cycle the ring window can hold
-  std::size_t size_ = 0;
+  std::map<Cycle, std::vector<std::function<void()>>> events_;
+  Cycle base_ = 0;  ///< earliest cycle not yet fired; later pushes clamp here
   Cycle fired_through_ = 0;
   bool fired_any_ = false;
 };

@@ -22,13 +22,13 @@ bool Kernel::run_until(const std::function<bool()>& pred, Cycle max_cycles) {
   return false;
 }
 
-void Kernel::schedule_at(Cycle at, SmallFn fn) {
+void Kernel::schedule_at(Cycle at, std::function<void()> fn) {
   RECOSIM_CHECK_ALWAYS("SIM001", at >= now_,
                        "event scheduled in the simulated past");
   events_.push(at, std::move(fn));
 }
 
-void Kernel::schedule_in(Cycle delay, SmallFn fn) {
+void Kernel::schedule_in(Cycle delay, std::function<void()> fn) {
   events_.push(now_ + delay, std::move(fn));
 }
 

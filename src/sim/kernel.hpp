@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/smallfn.hpp"
 #include "sim/types.hpp"
 
 namespace recosim::sim {
@@ -59,12 +58,15 @@ class Kernel {
   /// predicate is.
   bool run_until(const std::function<bool()>& pred, Cycle max_cycles);
 
-  /// Schedule `fn` to run at the start of cycle `at` (>= now()).
-  void schedule_at(Cycle at, SmallFn fn);
+  /// Schedule `fn` to run at the start of cycle `at` (>= now()). Events
+  /// of one cycle run in push order.
+  void schedule_at(Cycle at, std::function<void()> fn);
 
-  /// Schedule `fn` to run `delay` cycles from now (0 = start of next step
-  /// if the current cycle's events already fired).
-  void schedule_in(Cycle delay, SmallFn fn);
+  /// Schedule `fn` to run `delay` cycles from now. A push for a cycle
+  /// whose events already fired (delay 0 from an eval(), say) runs at the
+  /// start of the next cycle, after the events already queued for it, and
+  /// that cycle executes rather than being fast-forwarded.
+  void schedule_in(Cycle delay, std::function<void()> fn);
 
   /// Live registered components (tombstoned slots excluded).
   std::size_t component_count() const {

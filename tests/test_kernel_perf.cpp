@@ -1,11 +1,12 @@
 // Activity-driven kernel: quiescence tracking, idle-cycle fast-forward,
-// the calendar event queue and the router work set. The headline property
+// the event queue and the router work set. The headline property
 // throughout is that the optimizations are *observationally invisible*:
 // every run must be bit-identical to the cycle-by-cycle schedule it
 // replaces.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -161,14 +162,14 @@ TEST(RunUntil, WakesOnEventThroughFastForward) {
 }
 
 // ---------------------------------------------------------------------------
-// Calendar event queue
+// Event queue
 // ---------------------------------------------------------------------------
 
 TEST(EventQueue, OverflowBeyondRingWindowFiresInOrder) {
   Kernel k;
   std::vector<int> order;
-  // 1'000 and 300 land outside the 256-cycle ring window and must migrate
-  // into it as time advances.
+  // Far-future events pushed out of cycle order fire in cycle order, and
+  // two at one cycle in push order.
   k.schedule_at(1'000, [&] { order.push_back(3); });
   k.schedule_at(10, [&] { order.push_back(1); });
   k.schedule_at(1'000, [&] { order.push_back(4); });
@@ -212,7 +213,8 @@ TEST(EventQueue, ManyEventsAcrossManyRingWraps) {
 }
 
 TEST(EventQueue, LargeCallbacksFallBackToHeap) {
-  // Capture more than SmallFn's inline buffer to exercise the heap path.
+  // A capture larger than std::function's inline storage is heap-held; it
+  // must still fire intact.
   Kernel k;
   std::array<std::uint64_t, 16> payload{};
   payload.fill(42);
