@@ -42,16 +42,23 @@ std::string_view Args::take(std::string_view what) {
   return tok;
 }
 
-double Args::real(std::string_view what) {
-  const std::string_view tok = take(what);
+std::optional<double> parse_real(std::string_view tok) {
   double value = 0.0;
-  if (!ok_) return value;
   const auto [end, ec] =
       std::from_chars(tok.data(), tok.data() + tok.size(), value);
   if (ec != std::errc() || end != tok.data() + tok.size() ||
       !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
+double Args::real(std::string_view what) {
+  const std::string_view tok = take(what);
+  if (!ok_) return 0.0;
+  const std::optional<double> value = parse_real(tok);
+  if (!value)
     fail(what, std::string(1, '\'').append(tok).append("' is not a number"));
-  return ok_ ? value : 0.0;
+  return value.value_or(0.0);
 }
 
 std::size_t Args::word(std::string_view what,

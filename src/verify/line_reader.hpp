@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,6 +25,10 @@ namespace recosim::verify {
 
 /// "line L:C", the object of every finding that points into a text file.
 Location line_location(const std::string& source, int line, int column);
+
+/// `tok` as a finite real when the whole token parses (std::from_chars
+/// syntax: no leading '+', nothing after the number); nullopt otherwise.
+std::optional<double> parse_real(std::string_view tok);
 
 /// Bounds of the common integers: a coordinate, index, id or count lies in
 /// [-kMaxIndex, kMaxIndex], far beyond any fabric, which keeps the

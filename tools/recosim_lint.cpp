@@ -18,7 +18,8 @@
 // named like the scenario (foo.rcs + foo.fplan) pairs with it
 // automatically and its faults feed the timeline. Paired plans are not
 // checked a second time standalone. --envelope is a synonym that also
-// turns the timeline on; --headroom <pct> arms the ENV004 headroom rule.
+// turns the timeline on; --headroom <pct> arms the ENV004 headroom rule
+// at a percentage in [0, 100] (any other value is a usage error).
 //
 // --sarif <file> additionally writes the findings as a SARIF 2.1.0 log.
 // --baseline <file> suppresses findings recorded in a baseline written
@@ -32,12 +33,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "verify/line_reader.hpp"
 #include "verify/lint_driver.hpp"
 #include "verify/rules.hpp"
 
@@ -117,7 +119,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--headroom") == 0) {
       const char* v = value_of(i);
       if (!v) return 2;
-      headroom_pct = std::atof(v);
+      const std::optional<double> pct = parse_real(v);
+      if (!pct || *pct < 0.0 || *pct > 100.0) {
+        std::fprintf(stderr,
+                     "recosim-lint: --headroom: '%s' is not a percentage "
+                     "in [0, 100]\n",
+                     v);
+        return 2;
+      }
+      headroom_pct = *pct;
       timeline = true;
     } else if (std::strcmp(argv[i], "--sarif") == 0) {
       const char* v = value_of(i);
